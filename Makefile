@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race determinism verify bench bench-workers bench-snapshot trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
+.PHONY: all build vet test race determinism verify bench bench-workers digests trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
 
 all: verify
 
@@ -101,9 +101,13 @@ bench:
 bench-workers:
 	$(GO) test -bench QuickWorkers -benchtime 1x -timeout 60m -run '^$$' .
 
-# Committed perf trajectory (ROADMAP): write the BENCH_<pr>.json
-# snapshot — single-run throughput (untraced + traced) and the fig11
-# worker-scaling speedup. Set BENCH_OUT to name the data point.
-BENCH_OUT ?= BENCH_9.json
-bench-snapshot:
-	$(GO) run ./cmd/spiffi-benchsnap -out $(BENCH_OUT)
+# Byte-identity check for changes that must not move any metric: the
+# benchmark's per-run digest (a hash of every Metrics field) for each
+# workload at seeds 1-3, to compare with perfbench/BASELINE.json's
+# digests. About 40 s on a 2-vCPU host; not part of verify.
+digests:
+	@for w in steady-base memory-search premiere-storm; do \
+		for s in 1 2 3; do \
+			bash perfbench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 | grep '^digest' || exit 1; \
+		done; \
+	done

@@ -105,9 +105,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache activity over a run's whole lifetime (they are
-// deliberately not reset with the measurement window — hit ratios are a
-// property of the cache, not of a window).
+// Stats counts cache activity over a run's whole lifetime. Metrics
+// reports them lifetime, not over the measurement window: hit ratios are
+// a property of the cache, not of a window.
 type Stats struct {
 	Hits      int64 // prefix-block requests served from cache
 	Misses    int64 // prefix-block requests the cache could not serve

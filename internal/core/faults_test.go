@@ -103,6 +103,9 @@ func TestScriptedDiskFailStop(t *testing.T) {
 	if m.DiskDownTime < 9*sim.Second || m.DiskDownTime > 11*sim.Second {
 		t.Fatalf("downtime = %v, want ~10s", m.DiskDownTime)
 	}
+	if m.Pool.FetchFails == 0 {
+		t.Fatalf("fail-stop aborted no pool fetch: %+v", m.Pool)
+	}
 }
 
 // The same failure with a mirrored layout: retries fail over to the

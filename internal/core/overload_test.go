@@ -121,6 +121,9 @@ func TestSecondFailureDuringRebuildLosesBlocks(t *testing.T) {
 	if m.StaleNacks == 0 {
 		t.Fatalf("repaired disk served stale copies without a NACK: %+v", m)
 	}
+	if m.Nodes.StaleNacks != m.StaleNacks {
+		t.Fatalf("node stale NACKs %d != reported %d", m.Nodes.StaleNacks, m.StaleNacks)
+	}
 	if m.LostBlocks == 0 {
 		t.Fatalf("overlapping failures inside the window lost nothing: %+v", m)
 	}

@@ -48,15 +48,16 @@ type Simulation struct {
 
 	// Workload scenario (WORKLOADS.md); wl is nil-safe and disabled
 	// unless cfg.Workload has phases. phaseStats accumulates the
-	// per-phase degradation surface; wlPrev is the counter snapshot at
-	// the open segment's start.
+	// per-phase degradation surface; phaseOpen is the reading at the
+	// open segment's start.
 	wl         *workload.Schedule
 	phaseStats []PhaseMetrics
-	wlPrev     wlCounters
+	phaseOpen  reading
 
 	startedCount int
 	measuring    bool
-	measureStart sim.Time
+	// open is the reading taken as the measurement window opens.
+	open reading
 
 	// respHist observes every measured block round trip, at millisecond
 	// base resolution over 20 power-of-two buckets (1 ms .. ~17 minutes).
@@ -314,50 +315,15 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// wlCounters is a cumulative snapshot of the counters the workload layer
-// buckets per phase. All of them are lifetime (since simulation start),
-// so segment deltas are exact no matter where the measurement window
-// lies relative to the phase timeline.
-type wlCounters struct {
-	glitches, underrun, diskfail, timeout int64
-	sheds, admRejected                    int64
-	cacheHits, cacheMisses                int64
-	movies                                int64
-}
-
-func (s *Simulation) wlCountersNow() wlCounters {
-	var c wlCounters
-	for _, t := range s.terms {
-		st := t.Stats()
-		c.glitches += st.GlitchesTotal
-		c.underrun += st.GlitchesUnderrunTotal
-		c.diskfail += st.GlitchesDiskFailTotal
-		c.timeout += st.GlitchesTimeoutTotal
-		c.movies += st.MoviesStarted
-	}
-	if s.over != nil {
-		c.sheds = s.over.Stats().Sheds
-	}
-	if s.adm != nil {
-		c.admRejected = s.adm.Rejected
-	}
-	for _, ch := range s.caches {
-		cs := ch.Stats()
-		c.cacheHits += cs.Hits
-		c.cacheMisses += cs.Misses
-	}
-	return c
-}
-
 // enterPhase runs (in simulation context) at each phase boundary.
 func (s *Simulation) enterPhase(b workload.Boundary) {
-	now := s.k.Now()
-	s.closePhaseSegment(now)
+	cur := s.read()
+	s.closePhaseSegment(cur)
 	s.phaseStats = append(s.phaseStats, PhaseMetrics{
 		Name:  b.Phase.Name,
 		Index: b.Index,
 		Cycle: b.Cycle,
-		Start: now,
+		Start: cur.at,
 		Load:  b.Phase.Load,
 	})
 	promote := int64(-1)
@@ -368,23 +334,27 @@ func (s *Simulation) enterPhase(b workload.Boundary) {
 }
 
 // closePhaseSegment finalizes the open phase segment (if any) with the
-// counter deltas accumulated since it began.
-func (s *Simulation) closePhaseSegment(now sim.Time) {
-	cur := s.wlCountersNow()
+// counts accumulated between its opening reading and cur.
+func (s *Simulation) closePhaseSegment(cur reading) {
 	if n := len(s.phaseStats); n > 0 {
+		d := cur.since(s.phaseOpen)
+		var term terminal.Stats
+		for _, st := range d.terms {
+			term = plus(term, st)
+		}
 		ps := &s.phaseStats[n-1]
-		ps.End = now
-		ps.Glitches = cur.glitches - s.wlPrev.glitches
-		ps.GlitchesUnderrun = cur.underrun - s.wlPrev.underrun
-		ps.GlitchesDiskFail = cur.diskfail - s.wlPrev.diskfail
-		ps.GlitchesTimeout = cur.timeout - s.wlPrev.timeout
-		ps.Sheds = cur.sheds - s.wlPrev.sheds
-		ps.AdmRejected = cur.admRejected - s.wlPrev.admRejected
-		ps.CacheHits = cur.cacheHits - s.wlPrev.cacheHits
-		ps.CacheMisses = cur.cacheMisses - s.wlPrev.cacheMisses
-		ps.MoviesStarted = cur.movies - s.wlPrev.movies
+		ps.End = cur.at
+		ps.Glitches = term.Glitches
+		ps.GlitchesUnderrun = term.GlitchesUnderrun
+		ps.GlitchesDiskFail = term.GlitchesDiskFail
+		ps.GlitchesTimeout = term.GlitchesTimeout
+		ps.Sheds = d.over.Sheds
+		ps.AdmRejected = d.admRejected
+		ps.CacheHits = d.cache.Hits
+		ps.CacheMisses = d.cache.Misses
+		ps.MoviesStarted = term.MoviesStarted
 	}
-	s.wlPrev = cur
+	s.phaseOpen = cur
 }
 
 // sendRequest routes a terminal's block request over the network to the
@@ -417,21 +387,16 @@ func (s *Simulation) forwardMerged(fol *terminal.Terminal, video, block int, siz
 
 // onTerminalStarted is invoked (in simulation context) the first time
 // each terminal begins display; once all have, the measurement window
-// opens: statistics reset, glitch counting begins (§6).
+// opens (§6): the counters are read, and Run reports the window as the
+// difference from this reading.
 func (s *Simulation) onTerminalStarted() {
 	s.startedCount++
 	if s.startedCount < s.cfg.Terminals {
 		return
 	}
 	s.measuring = true
-	s.measureStart = s.k.Now()
+	s.open = s.read()
 	s.net.ResetStats()
-	for _, n := range s.nodes {
-		n.ResetStats()
-	}
-	for _, t := range s.terms {
-		t.ResetWindowStats()
-	}
 	if s.over != nil {
 		// The estimator starts with the measurement window: warm-up
 		// slack (every stream priming at once) would read as overload.
@@ -461,27 +426,33 @@ func (s *Simulation) Run() (Metrics, error) {
 	}
 
 	// Phase 2: the measured window.
-	end := s.measureStart.Add(s.cfg.MeasureTime)
-	if err := s.k.Run(end); err != nil {
+	if err := s.k.Run(s.open.at.Add(s.cfg.MeasureTime)); err != nil {
 		return m, err
 	}
+	// Sessions still impacted when the window closes count as lost.
+	for _, t := range s.terms {
+		t.CloseSessionAccounting()
+	}
+	end := s.read()
+	w := end.since(s.open)
 
 	m.Started = true
-	m.MeasureStart = s.measureStart
-	m.MeasureEnd = s.k.Now()
+	m.MeasureStart = s.open.at
+	m.MeasureEnd = end.at
 	m.Events = s.k.Events()
 
 	if s.wl.Enabled() {
-		s.closePhaseSegment(s.k.Now())
+		s.closePhaseSegment(end)
 		m.PhaseStats = s.phaseStats
 	}
 
+	// Window counts come from w; the fields Metrics documents as
+	// lifetime (sessions, failover, merge, cache, admission, overload,
+	// rebuild, node health) from end or the subsystem itself.
 	var seekLatSum, recoverySum, failoverLatSum sim.Duration
 	m.ProtectedTerminals = s.cfg.Overload.ProtectedCount(s.cfg.Terminals)
-	for i, t := range s.terms {
-		// Sessions still impacted when the window closes count as lost.
-		t.CloseSessionAccounting()
-		st := t.Stats()
+	for i, st := range w.terms {
+		life := end.terms[i]
 		m.Glitches += st.Glitches
 		if st.Glitches > 0 {
 			m.GlitchTerminals++
@@ -515,16 +486,16 @@ func (s *Simulation) Run() (Metrics, error) {
 		if st.RecoveryMax > m.MTTRMax {
 			m.MTTRMax = st.RecoveryMax
 		}
-		m.SessionsImpacted += st.SessionsImpacted
-		m.SessionsRecovered += st.SessionsRecovered
-		m.SessionsLost += st.SessionsLost
-		m.FailoverRedirects += st.FailoverRedirects
-		m.FailoverReadmits += st.FailoverReadmits
-		failoverLatSum += st.FailoverLatSum
-		if st.FailoverLatMax > m.FailoverLatMax {
-			m.FailoverLatMax = st.FailoverLatMax
+		m.SessionsImpacted += life.SessionsImpacted
+		m.SessionsRecovered += life.SessionsRecovered
+		m.SessionsLost += life.SessionsLost
+		m.FailoverRedirects += life.FailoverRedirects
+		m.FailoverReadmits += life.FailoverReadmits
+		failoverLatSum += life.FailoverLatSum
+		if life.FailoverLatMax > m.FailoverLatMax {
+			m.FailoverLatMax = life.FailoverLatMax
 		}
-		m.MergeDetaches += st.MergeDetaches
+		m.MergeDetaches += life.MergeDetaches
 		m.RespTimeSumAdd(st)
 	}
 	if m.Seeks > 0 {
@@ -552,11 +523,10 @@ func (s *Simulation) Run() (Metrics, error) {
 		m.AdmLimitMin = s.adm.Limit()
 	}
 	if s.over != nil {
-		os := s.over.Stats()
-		m.Sheds = os.Sheds
-		m.Restores = os.Restores
-		m.ShedPeak = os.ShedPeak
-		m.AdmLimitMin = os.LimitMin
+		m.Sheds = end.over.Sheds
+		m.Restores = end.over.Restores
+		m.ShedPeak = end.over.ShedPeak
+		m.AdmLimitMin = end.over.LimitMin
 	}
 	if s.reb != nil {
 		rs := s.reb.Stats()
@@ -568,57 +538,38 @@ func (s *Simulation) Run() (Metrics, error) {
 		m.RebuiltBlocks = rs.Rebuilt
 	}
 
-	m.DiskUtilMin = 2
-	for _, n := range s.nodes {
-		ns := n.Stats()
-		m.Nodes.Requests += ns.Requests
-		m.Nodes.Prefetches += ns.Prefetches
-		m.Nodes.DeadlineUps += ns.DeadlineUps
-		m.Nodes.Nacks += ns.Nacks
-		m.Nodes.Dropped += ns.Dropped
-		m.Nodes.DroppedReqs += ns.DroppedReqs
-		m.Nodes.DroppedReplies += ns.DroppedReplies
-		m.Nodes.Crashes += ns.Crashes
-		m.StaleNacks += ns.StaleNacks
-		ps := n.Pool().Stats()
-		m.Pool.DemandRefs += ps.DemandRefs
-		m.Pool.DemandHits += ps.DemandHits
-		m.Pool.InFlightHits += ps.InFlightHits
-		m.Pool.Misses += ps.Misses
-		m.Pool.SharedRefs += ps.SharedRefs
-		m.Pool.PrefetchSkip += ps.PrefetchSkip
-		m.Pool.Evictions += ps.Evictions
-		m.Pool.AllocWaits += ps.AllocWaits
-		cu := n.CPU().Utilization()
+	m.Nodes = w.node
+	m.Pool = w.pool
+	m.StaleNacks = w.node.StaleNacks
+	m.DiskFailStops = w.disk.FailStops
+	m.DiskAbandoned = w.disk.Abandoned
+	m.DiskRejects = w.disk.Rejects
+	m.DiskDownTime = w.disk.DownTime
+	m.RebuildIOs = w.disk.RebuildOps
+	m.DiskReads = w.disk.Served
+	span := end.at.Sub(s.open.at)
+	for _, busy := range w.cpuBusy {
+		cu := utilization(busy, span)
 		m.CPUUtilAvg += cu
 		if cu > m.CPUUtilMax {
 			m.CPUUtilMax = cu
 		}
-		for _, d := range n.Disks() {
-			du := d.Utilization()
-			m.DiskUtilAvg += du
-			if du < m.DiskUtilMin {
-				m.DiskUtilMin = du
-			}
-			if du > m.DiskUtilMax {
-				m.DiskUtilMax = du
-			}
-			ds := d.Stats()
-			m.DiskFailStops += ds.FailStops
-			m.DiskAbandoned += ds.Abandoned
-			m.DiskRejects += ds.Rejects
-			m.DiskDownTime += ds.DownTime
-			m.RebuildIOs += ds.RebuildOps
-			m.DiskReads += ds.Served
+	}
+	m.DiskUtilMin = 2
+	for _, busy := range w.diskBusy {
+		du := utilization(busy, span)
+		m.DiskUtilAvg += du
+		if du < m.DiskUtilMin {
+			m.DiskUtilMin = du
+		}
+		if du > m.DiskUtilMax {
+			m.DiskUtilMax = du
 		}
 	}
-	for _, c := range s.caches {
-		cs := c.Stats()
-		m.CacheHits += cs.Hits
-		m.CacheMisses += cs.Misses
-		m.CacheInserts += cs.Inserts
-		m.CacheEvictions += cs.Evictions
-	}
+	m.CacheHits = end.cache.Hits
+	m.CacheMisses = end.cache.Misses
+	m.CacheInserts = end.cache.Inserts
+	m.CacheEvictions = end.cache.Evictions
 	if s.merge != nil {
 		m.Merges = s.merge.Merges
 		m.MergedBlocks = s.merge.MergedBlocks

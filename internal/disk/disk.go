@@ -71,16 +71,12 @@ type cacheContext struct {
 	used       bool
 }
 
-// Stats aggregates the measurement-window counters of one disk.
+// Stats aggregates the counters of one disk since it was created.
 type Stats struct {
 	Served       int64
 	PrefetchOps  int64
-	BusyTime     sim.Duration
-	SeekTime     sim.Duration
-	RotTime      sim.Duration
 	TransferTime sim.Duration
 	CacheHits    int64
-	QueuePeak    int
 
 	// Degraded-mode counters (fault injection).
 	FailStops int64        // fail-stop events applied to this disk
@@ -111,10 +107,10 @@ type Disk struct {
 	headCyl  int
 	contexts []cacheContext
 
-	busy        bool
-	busyStart   sim.Time
-	windowStart sim.Time
-	stats       Stats
+	busy      bool
+	busyStart sim.Time
+	busyTime  sim.Duration // completed service periods
+	stats     Stats
 
 	idleProc *sim.Proc // service process parked waiting for work
 	seq      uint64
@@ -226,11 +222,7 @@ func (d *Disk) Submit(r *dsched.Request) {
 		return
 	}
 	d.sched.Add(r)
-	l := d.sched.Len()
-	if l > d.stats.QueuePeak {
-		d.stats.QueuePeak = l
-	}
-	d.rec.DiskEnqueue(d.id, r.Terminal, r.Deadline, r.Prefetch, l)
+	d.rec.DiskEnqueue(d.id, r.Terminal, r.Deadline, r.Prefetch, d.sched.Len())
 	if d.idleProc != nil {
 		p := d.idleProc
 		d.idleProc = nil
@@ -263,7 +255,7 @@ func (d *Disk) run(p *sim.Proc) {
 		p.Sleep(service)
 
 		d.busy = false
-		d.stats.BusyTime += d.k.Now().Sub(d.busyStart)
+		d.busyTime += d.k.Now().Sub(d.busyStart)
 		if d.failEpoch != epoch || d.failed {
 			// The drive fail-stopped while this request was on the platter:
 			// it completes with an error, not data.
@@ -295,9 +287,6 @@ func (d *Disk) access(r *dsched.Request) sim.Duration {
 		rot = sim.Duration(d.src.Float64() * float64(d.params.RotationTime))
 	}
 	xfer := d.transferTime(r.Offset, r.Size)
-
-	d.stats.SeekTime += seek
-	d.stats.RotTime += rot
 	d.stats.TransferTime += xfer
 
 	end := r.Offset + r.Size
@@ -408,29 +397,16 @@ func (d *Disk) maybeRepair(at sim.Time) {
 // Failed reports whether the drive is currently fail-stopped.
 func (d *Disk) Failed() bool { return d.failed }
 
-// ResetStats restarts the measurement window (discarding warm-up).
-func (d *Disk) ResetStats() {
-	d.stats = Stats{}
-	d.windowStart = d.k.Now()
-	if d.busy {
-		d.busyStart = d.k.Now()
-	}
-}
-
-// Stats returns a copy of the window counters.
+// Stats returns a copy of the counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Utilization reports the busy fraction of the measurement window.
-func (d *Disk) Utilization() float64 {
-	window := d.k.Now().Sub(d.windowStart)
-	if window <= 0 {
-		return 0
-	}
-	busy := d.stats.BusyTime
+// BusyTime reports the drive's cumulative busy time, including the
+// access in progress.
+func (d *Disk) BusyTime() sim.Duration {
 	if d.busy {
-		busy += d.k.Now().Sub(d.busyStart)
+		return d.busyTime + d.k.Now().Sub(d.busyStart)
 	}
-	return float64(busy) / float64(window)
+	return d.busyTime
 }
 
 func absInt(x int) int {

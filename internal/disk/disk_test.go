@@ -82,8 +82,8 @@ func TestDiskServicesSubmittedRequest(t *testing.T) {
 	// Service time must include seek + some rotation + transfer.
 	minT := DefaultParams().SeekTime(10) + DefaultParams().TransferTime(512*1024)
 	maxT := minT + DefaultParams().RotationTime
-	if d.Stats().BusyTime < minT || d.Stats().BusyTime > maxT {
-		t.Fatalf("busy time %v outside [%v, %v]", d.Stats().BusyTime, minT, maxT)
+	if d.BusyTime() < minT || d.BusyTime() > maxT {
+		t.Fatalf("busy time %v outside [%v, %v]", d.BusyTime(), minT, maxT)
 	}
 }
 
@@ -184,7 +184,10 @@ func TestCacheEvictsLRUContext(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndReset(t *testing.T) {
+// A window is the difference of two readings. The read in service when
+// the window opens counts its busy time from that instant and its
+// completion inside the window; an idle window reads zero.
+func TestBusyTimeStraddlesWindow(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
@@ -192,22 +195,31 @@ func TestUtilizationAndReset(t *testing.T) {
 	k.At(0, func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 740 * 1024}) // ~100ms transfer
 	})
+	var openBusy sim.Duration
+	var openServed int64
+	openAt := sim.Time(50 * sim.Millisecond)
+	k.At(openAt, func() {
+		openBusy = d.BusyTime()
+		openServed = d.Stats().Served
+	})
 	if err := k.Run(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	u := d.Utilization()
-	if u < 0.08 || u > 0.15 {
-		t.Fatalf("utilization = %v, want ~0.1", u)
+	if openBusy != sim.Duration(openAt) || openServed != 0 {
+		t.Fatalf("at open: busy %v served %d, want %v in progress and none served", openBusy, openServed, openAt)
 	}
-	d.ResetStats()
+	if u := float64(d.BusyTime()) / float64(sim.Second); u < 0.08 || u > 0.15 {
+		t.Fatalf("lifetime utilization = %v, want ~0.1", u)
+	}
+	if d.Stats().Served-openServed != 1 {
+		t.Fatal("the straddling read must complete inside the window")
+	}
+	idleBusy, idleServed := d.BusyTime(), d.Stats().Served
 	if err := k.Run(sim.Time(2 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Utilization(); got != 0 {
-		t.Fatalf("post-reset idle utilization = %v, want 0", got)
-	}
-	if d.Stats().Served != 0 {
-		t.Fatal("reset must clear served count")
+	if d.BusyTime() != idleBusy || d.Stats().Served != idleServed {
+		t.Fatal("an idle window must read zero busy time and no reads")
 	}
 }
 
@@ -225,7 +237,7 @@ func TestDeterministicService(t *testing.T) {
 		if err := k.Run(sim.Time(30 * sim.Second)); err != nil {
 			t.Fatal(err)
 		}
-		return d.Stats().BusyTime
+		return d.BusyTime()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs differ: %v vs %v", a, b)
@@ -265,7 +277,7 @@ func TestFaultInjectionSlowsService(t *testing.T) {
 		if err := k.Run(sim.Time(20 * sim.Second)); err != nil {
 			t.Fatal(err)
 		}
-		return d.Stats().BusyTime
+		return d.BusyTime()
 	}
 	normal, degraded := run(false), run(true)
 	ratio := float64(degraded) / float64(normal)
@@ -288,7 +300,7 @@ func TestFaultExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Normal 512KB access takes well under 200 ms.
-	if d.Stats().BusyTime > sim.Duration(200*sim.Millisecond) {
-		t.Fatalf("fault did not expire: busy=%v", d.Stats().BusyTime)
+	if d.BusyTime() > sim.Duration(200*sim.Millisecond) {
+		t.Fatalf("fault did not expire: busy=%v", d.BusyTime())
 	}
 }

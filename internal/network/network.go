@@ -105,7 +105,10 @@ func (n *Network) TotalBytes() float64 { return n.meter.Total() }
 // Messages returns the number of messages carried.
 func (n *Network) Messages() int64 { return n.sent }
 
-// ResetStats restarts bandwidth metering (to discard warm-up).
+// ResetStats restarts bandwidth metering (to discard warm-up). Every
+// other component keeps lifetime counters and the measurement window is
+// their difference; the network alone is reset, because its peak over
+// time buckets is not a counter and cannot be subtracted.
 func (n *Network) ResetStats() {
 	n.meter.Reset()
 	n.sent = 0

@@ -189,21 +189,44 @@ func TestMisroutedRequestPanics(t *testing.T) {
 	}
 }
 
-func TestResetStatsClearsWindow(t *testing.T) {
+// A node's counters are lifetime; a measurement window is the
+// difference of two readings. A disk read in service when the window
+// opens is counted from that instant: the opening reading includes the
+// busy span in progress.
+func TestWindowCountersBySubtraction(t *testing.T) {
 	r := newRig(t, baseCfg())
 	defer r.k.Close()
+	d := r.node.Disks()[0] // holds block 0
+	var open Stats
+	var openRefs, openHits, openServed int64
+	var openBusy sim.Duration
 	r.k.At(0, func() { r.request(0, 0, 1, sim.Time(10*sim.Second)) })
+	r.k.At(sim.Time(sim.Millisecond), func() {
+		open = r.node.Stats()
+		openRefs = r.node.Pool().Stats().DemandRefs
+		openHits = r.node.Pool().Stats().DemandHits
+		openServed = d.Stats().Served
+		openBusy = d.BusyTime()
+	})
+	r.k.At(sim.Time(sim.Second), func() { r.request(0, 0, 2, sim.Time(10*sim.Second)) })
 	if err := r.k.Run(sim.Time(2 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	r.node.ResetStats()
-	if r.node.Stats().Requests != 0 || r.node.Pool().Stats().DemandRefs != 0 {
-		t.Fatal("reset did not clear node counters")
+	if openServed != 0 || openBusy <= 0 {
+		t.Fatalf("block 0's read not in service at window open: served=%d busy=%v", openServed, openBusy)
 	}
-	for _, d := range r.node.Disks() {
-		if d.Stats().Served != 0 {
-			t.Fatal("reset did not clear disk counters")
-		}
+	if got := r.node.Stats().Requests - open.Requests; got != 1 {
+		t.Fatalf("window requests = %d, want the re-request only", got)
+	}
+	ps := r.node.Pool().Stats()
+	if ps.DemandRefs-openRefs != 1 || ps.DemandHits-openHits != 1 {
+		t.Fatalf("window pool refs/hits = %d/%d, want 1/1", ps.DemandRefs-openRefs, ps.DemandHits-openHits)
+	}
+	if d.Stats().Served-openServed < 1 {
+		t.Fatal("the read straddling the window open was not counted in the window")
+	}
+	if busy := d.BusyTime() - openBusy; busy <= 0 || busy >= d.BusyTime() {
+		t.Fatalf("window busy time %v of lifetime %v: the straddling read must count from the open instant", busy, d.BusyTime())
 	}
 }
 
@@ -214,8 +237,8 @@ func TestCPUChargedForRequestHandling(t *testing.T) {
 	if err := r.k.Run(sim.Time(2 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if r.node.CPU().Utilization() <= 0 {
-		t.Fatal("CPU shows zero utilization after handling a request")
+	if r.node.CPU().BusyTime() <= 0 {
+		t.Fatal("CPU shows zero busy time after handling a request")
 	}
 }
 

@@ -2,8 +2,8 @@ package sim
 
 // Facility is a single server with a FIFO queue, the CSIM notion used here
 // to model CPUs. A process holds the facility for a service duration;
-// contenders queue in arrival order. Utilization statistics are tracked
-// against a measurement window that can be reset (to discard warm-up).
+// contenders queue in arrival order. Its counters are lifetime: a caller
+// measuring a window reads them at both ends and subtracts.
 type Facility struct {
 	k    *Kernel
 	name string
@@ -11,11 +11,10 @@ type Facility struct {
 	busy  bool
 	queue []*Proc
 
-	busyStart   Time // valid when busy
-	windowStart Time
-	busyTime    Duration
-	served      int64
-	queuedPeak  int
+	busyStart  Time // valid when busy
+	busyTime   Duration
+	served     int64
+	queuedPeak int
 }
 
 // NewFacility creates an idle facility.
@@ -62,36 +61,19 @@ func (f *Facility) Release() {
 	f.busyTime += f.k.now.Sub(f.busyStart)
 }
 
-// ResetStats restarts the utilization window at the current time,
-// discarding accumulated busy time (used to exclude warm-up).
-func (f *Facility) ResetStats() {
-	f.busyTime = 0
-	f.served = 0
-	f.queuedPeak = 0
-	f.windowStart = f.k.now
+// BusyTime reports the facility's cumulative busy time, including the
+// service period in progress.
+func (f *Facility) BusyTime() Duration {
 	if f.busy {
-		f.busyStart = f.k.now
+		return f.busyTime + f.k.now.Sub(f.busyStart)
 	}
+	return f.busyTime
 }
 
-// Utilization reports the fraction of the measurement window the facility
-// was busy, in [0, 1].
-func (f *Facility) Utilization() float64 {
-	window := f.k.now.Sub(f.windowStart)
-	if window <= 0 {
-		return 0
-	}
-	busy := f.busyTime
-	if f.busy {
-		busy += f.k.now.Sub(f.busyStart)
-	}
-	return float64(busy) / float64(window)
-}
-
-// Served reports the number of completed service periods in the window.
+// Served reports the number of completed service periods.
 func (f *Facility) Served() int64 { return f.served }
 
-// QueuedPeak reports the maximum queue length observed in the window.
+// QueuedPeak reports the maximum queue length observed.
 func (f *Facility) QueuedPeak() int { return f.queuedPeak }
 
 // Name returns the facility's diagnostic name.

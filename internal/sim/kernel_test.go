@@ -246,26 +246,31 @@ func TestFacilityUtilization(t *testing.T) {
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	got := f.Utilization()
-	if got < 0.69 || got > 0.71 {
-		t.Fatalf("utilization = %v, want 0.70", got)
+	if got := f.BusyTime(); got != 70 {
+		t.Fatalf("busy time = %v, want 70ns", got)
 	}
 }
 
-func TestFacilityResetStatsMidBusy(t *testing.T) {
+// A window is the difference of two BusyTime readings. A service period
+// in progress when the window opens is read up to that instant, so the
+// window counts only its remainder.
+func TestFacilityBusyTimeStraddlingWindow(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
 	f := NewFacility(k, "cpu")
 	k.Spawn("user", func(p *Proc) {
-		f.Use(p, 100*Nanosecond)
+		f.Use(p, 100*Nanosecond) // busy [0,100)
 	})
-	k.At(50, func() { f.ResetStats() })
-	if err := k.Run(100); err != nil {
+	var open Duration
+	k.At(50, func() { open = f.BusyTime() })
+	if err := k.Run(150); err != nil {
 		t.Fatal(err)
 	}
-	got := f.Utilization()
-	if got < 0.99 || got > 1.01 {
-		t.Fatalf("post-reset utilization = %v, want 1.0 (busy the whole window)", got)
+	if open != 50 {
+		t.Fatalf("busy time at open = %v, want 50ns (the span in progress)", open)
+	}
+	if got := f.BusyTime() - open; got != 50 {
+		t.Fatalf("window busy time = %v, want 50ns", got)
 	}
 }
 

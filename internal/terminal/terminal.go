@@ -165,14 +165,16 @@ type Config struct {
 	Failover bool
 }
 
-// Stats aggregates one terminal's counters.
+// Stats aggregates one terminal's counters since it was created. The
+// measurement window is the difference of two readings, taken by the
+// simulation assembly. A maximum cannot be subtracted, so the three
+// window maxima (RespTimeMax, SeekRePrimeMax, RecoveryMax) update only
+// while measuring and read 0 until the window opens.
 type Stats struct {
-	Glitches        int64 // glitches inside the measurement window
-	GlitchesTotal   int64 // glitches since simulation start
+	Glitches        int64
 	MoviesStarted   int64
 	MoviesCompleted int64
 	BlocksReceived  int64
-	BytesReceived   int64
 	RespTimeSum     sim.Duration // request round-trip accumulation
 	RespTimeMax     sim.Duration
 	Primes          int64 // priming cycles (starts + glitch recoveries)
@@ -185,21 +187,14 @@ type Stats struct {
 	SeekRePrimeMax sim.Duration
 
 	// Degraded-mode counters (fault injection). The per-cause glitch
-	// counters break the window's glitches down by what the viewer saw:
-	// a frozen picture (buffer underrun) or missing data played over
-	// (a block abandoned after NACKs from a dead disk, or after repeated
-	// timeouts when requests or replies were lost).
+	// counters break glitches down by what the viewer saw: a frozen
+	// picture (buffer underrun) or missing data played over (a block
+	// abandoned after NACKs from a dead disk, or after repeated timeouts
+	// when requests or replies were lost).
 	GlitchesUnderrun int64
 	GlitchesDiskFail int64
 	GlitchesTimeout  int64
-	// The *Total variants are lifetime (never window-reset) per-cause
-	// counters partitioning GlitchesTotal; the workload layer's
-	// phase-bucketed metrics difference them at phase boundaries, which
-	// straddle the measurement window.
-	GlitchesUnderrunTotal int64
-	GlitchesDiskFailTotal int64
-	GlitchesTimeoutTotal  int64
-	Nacks                 int64 // NACK replies received
+	Nacks            int64 // NACK replies received
 	Retries          int64 // re-issued requests
 	Timeouts         int64 // request timeouts fired
 	LostBlocks       int64 // blocks abandoned after the final retry
@@ -213,8 +208,8 @@ type Stats struct {
 	DegradedBlocks int64
 	DegradedFrames int64
 
-	// Failover session accounting (lifetime, not window-reset: a crash
-	// may straddle the measurement boundary). A session is "impacted"
+	// Failover session accounting (reported lifetime: a crash may
+	// straddle the measurement boundary). A session is "impacted"
 	// when one of its request timeouts finds the target node suspect;
 	// it is "recovered" when a later first-attempt read of a block whose
 	// primary lives on the impacted node succeeds (the session streams
@@ -231,8 +226,8 @@ type Stats struct {
 
 	// MergeDetaches counts mid-stream exits from a merged stream (leader
 	// departed, seek, or buffer pressure), after which the terminal
-	// fetches for itself. Lifetime, not window-reset: a merge may
-	// straddle the measurement boundary.
+	// fetches for itself. Reported lifetime: a merge may straddle the
+	// measurement boundary.
 	MergeDetaches int64
 }
 
@@ -250,7 +245,7 @@ type Terminal struct {
 	// selectVideo draws the next movie (Zipf or uniform over the
 	// library); wired by the simulation assembly.
 	selectVideo func() int
-	// measuring gates glitch counting to the measurement window.
+	// measuring gates the window maxima to the measurement window.
 	measuring func() bool
 	// onStarted fires once, when the terminal first begins display.
 	onStarted func()
@@ -367,37 +362,6 @@ func (t *Terminal) SetTrace(rec *trace.Recorder) { t.rec = rec }
 
 // Stats returns a copy of the terminal's counters.
 func (t *Terminal) Stats() Stats { return t.stats }
-
-// ResetWindowStats zeroes the measurement-window counters (blocks,
-// response times, movies, glitches) while keeping lifetime counters
-// (GlitchesTotal, MoviesStarted).
-func (t *Terminal) ResetWindowStats() {
-	t.stats.Glitches = 0
-	t.stats.BlocksReceived = 0
-	t.stats.BytesReceived = 0
-	t.stats.RespTimeSum = 0
-	t.stats.RespTimeMax = 0
-	t.stats.MoviesCompleted = 0
-	t.stats.Primes = 0
-	t.stats.Seeks = 0
-	t.stats.SkimBlocks = 0
-	t.stats.StaleDrops = 0
-	t.stats.SeekRePrimeSum = 0
-	t.stats.SeekRePrimeMax = 0
-	t.stats.GlitchesUnderrun = 0
-	t.stats.GlitchesDiskFail = 0
-	t.stats.GlitchesTimeout = 0
-	t.stats.Nacks = 0
-	t.stats.Retries = 0
-	t.stats.Timeouts = 0
-	t.stats.LostBlocks = 0
-	t.stats.Recoveries = 0
-	t.stats.RecoverySum = 0
-	t.stats.RecoveryMax = 0
-	t.stats.AdmRejects = 0
-	t.stats.DegradedBlocks = 0
-	t.stats.DegradedFrames = 0
-}
 
 // Started reports whether the terminal has begun displaying its first
 // movie (the simulator's warm-up gate, §6).
@@ -553,7 +517,6 @@ func (t *Terminal) applyMerged(video, block int, size int64) {
 		return
 	}
 	t.stats.BlocksReceived++
-	t.stats.BytesReceived += size
 	t.admit(block, size)
 	t.rec.TermBuffer(t.id, t.BufferedBytes(), t.outstanding, t.frontierBlocks)
 	t.wakeOnArrival()
@@ -677,7 +640,7 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			t.glitchAt = 0
 			t.stats.Recoveries++
 			t.stats.RecoverySum += recovered
-			if recovered > t.stats.RecoveryMax {
+			if t.measuring() && recovered > t.stats.RecoveryMax {
 				t.stats.RecoveryMax = recovered
 			}
 		}
@@ -687,7 +650,7 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			// the user-visible seek-to-resume latency.
 			lat := t.k.Now().Sub(t.seekStarted)
 			t.stats.SeekRePrimeSum += lat
-			if lat > t.stats.SeekRePrimeMax {
+			if t.measuring() && lat > t.stats.SeekRePrimeMax {
 				t.stats.SeekRePrimeMax = lat
 			}
 			t.seekStarted = 0
@@ -714,14 +677,10 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			// Glitch: the buffer ran dry mid-movie (§5.1). Re-prime
 			// fully before restarting so a second glitch does not
 			// follow at once.
-			t.stats.GlitchesTotal++
-			t.stats.GlitchesUnderrunTotal++
+			t.stats.Glitches++
+			t.stats.GlitchesUnderrun++
 			t.glitchAt = t.k.Now()
 			t.rec.TermGlitch(t.id, trace.CauseUnderrun, t.vid, t.consumedFrames, t.BufferedBytes())
-			if t.measuring() {
-				t.stats.Glitches++
-				t.stats.GlitchesUnderrun++
-			}
 		}
 	}
 }
@@ -1123,10 +1082,9 @@ func (t *Terminal) applyArrival(req *proto.BlockRequest) {
 	}
 	t.outstanding -= req.Size
 	t.stats.BlocksReceived++
-	t.stats.BytesReceived += req.Size
 	rt := t.k.Now().Sub(req.Issued)
 	t.stats.RespTimeSum += rt
-	if rt > t.stats.RespTimeMax {
+	if t.measuring() && rt > t.stats.RespTimeMax {
 		t.stats.RespTimeMax = rt
 	}
 	if t.cfg.OnRespTime != nil {
