@@ -6,10 +6,11 @@
 //     on disk. External links (http/https/mailto) and pure-anchor links
 //     (#section) are skipped; fragments are not verified.
 //
-//   - undocumented flags: every flag the simulator CLI registers
+//   - flag drift: every flag the simulator CLI registers
 //     (internal/cli.Register, shared by all cmd/ binaries) must appear
-//     in README.md as `-name`, so `-h` output and the README flag
-//     reference cannot drift apart.
+//     as `-name` in README.md's Flag reference table, and every flag
+//     in that table must still be registered, so `-h` output and the
+//     README flag reference cannot drift apart in either direction.
 //
 // Run it via `make doc-check` (part of `make verify`). Exit status 1
 // lists every finding; 0 means the docs match the tree and the CLI.
@@ -31,6 +32,9 @@ import (
 // linkRE matches inline markdown links [text](target). Reference-style
 // links and autolinks are rare in this repo and not checked.
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+// tableFlagRE matches a backticked flag name such as `-trace-out`.
+var tableFlagRE = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
 
 func main() {
 	root := flag.String("root", ".", "repository root to check")
@@ -63,12 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	for _, name := range flagNames() {
-		if !strings.Contains(string(readme), "-"+name) {
-			problems = append(problems,
-				fmt.Sprintf("README.md: flag -%s (in every binary's -h output) is undocumented", name))
-		}
-	}
+	problems = append(problems, flagDrift(string(readme), flagNames())...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -99,6 +98,57 @@ func links(doc string) []string {
 		out = append(out, target)
 	}
 	return out
+}
+
+// flagDrift compares the Flag reference table of a README with the
+// registered flag names, in both directions.
+func flagDrift(readme string, names []string) []string {
+	var problems []string
+	table := flagTable(readme)
+	inTable := make(map[string]bool, len(table))
+	for _, name := range table {
+		inTable[name] = true
+	}
+	registered := make(map[string]bool, len(names))
+	for _, name := range names {
+		registered[name] = true
+		if !inTable[name] {
+			problems = append(problems,
+				fmt.Sprintf("README.md: flag -%s (in every binary's -h output) is missing from the Flag reference", name))
+		}
+	}
+	for _, name := range table {
+		if !registered[name] {
+			problems = append(problems,
+				fmt.Sprintf("README.md: Flag reference lists -%s, which internal/cli does not register", name))
+		}
+	}
+	return problems
+}
+
+// flagTable returns the flag names in the first column of the table
+// under the "### Flag reference" heading, in row order.
+func flagTable(readme string) []string {
+	_, section, ok := strings.Cut(readme, "### Flag reference")
+	if !ok {
+		return nil
+	}
+	var names []string
+	started := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if started {
+				break
+			}
+			continue
+		}
+		started = true
+		cells := strings.Split(line, "|")
+		for _, m := range tableFlagRE.FindAllStringSubmatch(cells[1], -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
 }
 
 // flagNames returns every flag name the shared CLI registers, in

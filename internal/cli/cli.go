@@ -59,18 +59,15 @@ type Flags struct {
 	Mirror         *bool
 	MirrorNode     *bool
 	Failover       *bool
-	RejoinWarmupS  *float64
 	ReqTimeoutS    *float64
 	Retries        *int
 	BackoffMS      *float64
-	BackoffCapMS   *float64
 	RetryJitterMS  *float64
 
 	// Overload control & recovery (internal/overload, OVERLOAD.md).
 	AdmitLimit    *int
 	Adaptive      *bool
 	Shed          *bool
-	PatienceS     *float64
 	RebuildMBs    *float64
 	HoldAfterCutS *float64
 	RaiseStreak   *int
@@ -133,17 +130,14 @@ func Register(fs *flag.FlagSet) *Flags {
 		Mirror:         fs.Bool("mirror", false, "store a declustered replica of every video"),
 		MirrorNode:     fs.Bool("mirrornode", false, "place replicas cross-node (interleaved declustering; requires -mirror)"),
 		Failover:       fs.Bool("failover", false, "redirect around suspect nodes and re-admit with priority (requires -mirror)"),
-		RejoinWarmupS:  fs.Float64("rejoinwarmup", 0, "adaptive-limit hold after a node rejoins, seconds (0 = default 30 with -failover)"),
 		ReqTimeoutS:    fs.Float64("reqtimeout", 0, "terminal request timeout in seconds (0 = default when faults on)"),
 		Retries:        fs.Int("retries", 0, "max retries per block (0 = default when faults on)"),
 		BackoffMS:      fs.Float64("backoff", 0, "first retry backoff in ms, doubling per retry (0 = default)"),
-		BackoffCapMS:   fs.Float64("backoffcap", 0, "retry backoff cap in ms (0 = 64x the base backoff)"),
 		RetryJitterMS:  fs.Float64("retryjitter", 0, "uniform jitter bound added to each retry backoff in ms (0 = off)"),
 
 		AdmitLimit:    fs.Int("admit", 0, "admission limit on concurrent streams (0 = off)"),
 		Adaptive:      fs.Bool("adaptive", false, "adapt the admission limit from measured disk slack"),
 		Shed:          fs.Bool("shed", false, "shed low-priority streams to half rate under overload"),
-		PatienceS:     fs.Float64("patience", 0, "admission queue patience in seconds (0 = default 10; <0 = wait forever)"),
 		RebuildMBs:    fs.Float64("rebuildrate", 0, "mirror rebuild rate in MB/s after disk repair (0 = off)"),
 		HoldAfterCutS: fs.Float64("holdaftercut", 0, "suppress adaptive limit raises for this many seconds after each cut (0 = off)"),
 		RaiseStreak:   fs.Int("raisestreak", 0, "consecutive healthy estimator ticks required before a limit raise (0 = raise immediately)"),
@@ -282,6 +276,8 @@ func (f *Flags) Config() (core.Config, error) {
 			cfg.VCR.SkimStrideBlocks = 8
 			cfg.VCR.SkimSegmentFrames = 30
 		}
+	} else if *f.VCRSkim {
+		return cfg, fmt.Errorf("-vcrskim requires -vcr")
 	}
 
 	cfg.Faults = faults.Config{
@@ -297,18 +293,15 @@ func (f *Flags) Config() (core.Config, error) {
 	cfg.ReplicateVideos = *f.Mirror
 	cfg.MirrorCrossNode = *f.MirrorNode
 	cfg.Failover = *f.Failover
-	cfg.RejoinWarmup = sim.DurationOfSeconds(*f.RejoinWarmupS)
 	cfg.Trace = f.TraceOptions()
 	cfg.RequestTimeout = sim.DurationOfSeconds(*f.ReqTimeoutS)
 	cfg.MaxRetries = *f.Retries
 	cfg.RetryBackoff = sim.DurationOfSeconds(*f.BackoffMS / 1000)
-	cfg.RetryBackoffCap = sim.DurationOfSeconds(*f.BackoffCapMS / 1000)
 	cfg.RetryJitter = sim.DurationOfSeconds(*f.RetryJitterMS / 1000)
 
 	cfg.Overload.AdmitLimit = *f.AdmitLimit
 	cfg.Overload.Adaptive = *f.Adaptive
 	cfg.Overload.Shed = *f.Shed
-	cfg.Overload.Patience = sim.DurationOfSeconds(*f.PatienceS)
 	cfg.Overload.RebuildRate = int64(*f.RebuildMBs * float64(core.MB))
 	cfg.Overload.HoldAfterCut = sim.DurationOfSeconds(*f.HoldAfterCutS)
 	cfg.Overload.RaiseStreak = *f.RaiseStreak

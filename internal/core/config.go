@@ -24,12 +24,10 @@ import (
 
 	"spiffi/internal/bufferpool"
 	"spiffi/internal/cache"
-	"spiffi/internal/cpu"
 	"spiffi/internal/disk"
 	"spiffi/internal/dsched"
 	"spiffi/internal/faults"
 	"spiffi/internal/mpeg"
-	"spiffi/internal/network"
 	"spiffi/internal/overload"
 	"spiffi/internal/prefetch"
 	"spiffi/internal/sim"
@@ -57,14 +55,11 @@ type Config struct {
 	DisksPerNode  int
 	VideosPerDisk int
 
-	MIPS       float64
-	CPUCosts   cpu.Costs
 	DiskParams disk.Params
 	// ZonedDisks switches the drives to zoned-bit-recording geometry
 	// (8 zones, 1.3/0.7 outer/inner spread) instead of the paper's
 	// constant-cylinder simplification.
 	ZonedDisks bool
-	NetParams  network.Params
 	Video      mpeg.Params
 
 	StripeBytes int64
@@ -119,8 +114,9 @@ type Config struct {
 	// Failover enables session continuity across node crashes: blocks
 	// homed on a suspect node are proactively resolved to their mirror
 	// copy and impacted sessions re-admit through the failover-priority
-	// path. Requires ReplicateVideos; Normalize fills SuspectThreshold
-	// and RejoinWarmup when set.
+	// path, and each node rejoin holds the adaptive admission limit
+	// down for a 30 s warm-up. Requires ReplicateVideos; Normalize fills
+	// SuspectThreshold when set.
 	Failover bool
 
 	// SuspectThreshold is the consecutive-timeout count (across all
@@ -130,23 +126,15 @@ type Config struct {
 	// recovered/lost session accounting — the comparison baseline.
 	SuspectThreshold int
 
-	// RejoinWarmup holds the adaptive admission limit down for this
-	// long after a crashed node restarts, so the rejoining node is not
-	// instantly re-saturated (0 = none; Normalize fills 30s with
-	// Failover set).
-	RejoinWarmup sim.Duration
-
 	// RequestTimeout/MaxRetries/RetryBackoff configure the terminals'
 	// degraded-mode retry machinery. A zero RequestTimeout disables it
 	// entirely (no timers are armed); Normalize fills all three with
-	// defaults whenever fault injection is enabled. RetryBackoffCap
-	// clamps the exponential backoff growth (zero = 64x RetryBackoff) so
-	// large retry budgets cannot overflow the backoff into a negative
-	// duration.
-	RequestTimeout  sim.Duration
-	MaxRetries      int
-	RetryBackoff    sim.Duration
-	RetryBackoffCap sim.Duration
+	// defaults whenever fault injection is enabled. The exponential
+	// backoff growth is clamped at 64x RetryBackoff so large retry
+	// budgets cannot overflow it into a negative duration.
+	RequestTimeout sim.Duration
+	MaxRetries     int
+	RetryBackoff   sim.Duration
 
 	// RetryJitter adds a uniform draw from a derived per-terminal
 	// stream on top of each retry backoff, breaking up retry
@@ -197,10 +185,7 @@ func DefaultConfig(terminals int) Config {
 		Nodes:                 4,
 		DisksPerNode:          4,
 		VideosPerDisk:         4,
-		MIPS:                  40,
-		CPUCosts:              cpu.DefaultCosts(),
 		DiskParams:            disk.DefaultParams(),
-		NetParams:             network.DefaultParams(),
 		Video:                 mpeg.DefaultParams(),
 		StripeBytes:           512 * KB,
 		Striped:               true,
@@ -272,9 +257,6 @@ func (c Config) Normalize() Config {
 	if c.Failover && c.SuspectThreshold == 0 {
 		c.SuspectThreshold = 2
 	}
-	if c.Failover && c.RejoinWarmup == 0 {
-		c.RejoinWarmup = 30 * sim.Second
-	}
 	if c.Faults.Enabled() || c.SuspectThreshold > 0 {
 		// Degraded-mode operation needs the retry machinery; fill
 		// defaults so a bare fault config behaves sensibly. With faults
@@ -291,7 +273,7 @@ func (c Config) Normalize() Config {
 			c.RetryBackoff = 200 * sim.Millisecond
 		}
 	}
-	c.Overload = c.Overload.Normalize(c.StripePlayTime())
+	c.Overload = c.Overload.Normalize()
 	c.Cache = c.Cache.Normalize()
 	c.Workload = c.Workload.Normalize()
 	return c
@@ -336,7 +318,7 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.RequestTimeout < 0 || c.MaxRetries < 0 || c.RetryBackoff < 0 || c.RetryBackoffCap < 0 || c.RetryJitter < 0 {
+	if c.RequestTimeout < 0 || c.MaxRetries < 0 || c.RetryBackoff < 0 || c.RetryJitter < 0 {
 		return fmt.Errorf("core: negative retry parameter")
 	}
 	if err := c.Overload.Validate(); err != nil {
@@ -369,7 +351,7 @@ func (c Config) Validate() error {
 	if c.Failover && !c.ReplicateVideos {
 		return fmt.Errorf("core: failover needs ReplicateVideos (no mirror to redirect to)")
 	}
-	if c.SuspectThreshold < 0 || c.RejoinWarmup < 0 {
+	if c.SuspectThreshold < 0 {
 		return fmt.Errorf("core: negative failover parameter")
 	}
 	if v := c.VCR; v != nil {

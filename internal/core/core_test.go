@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"spiffi/internal/bufferpool"
@@ -9,6 +10,7 @@ import (
 	"spiffi/internal/prefetch"
 	"spiffi/internal/sim"
 	"spiffi/internal/terminal"
+	"spiffi/internal/trace"
 )
 
 // tinyConfig is a 2-node/4-disk system with 2-minute videos, sized so a
@@ -471,5 +473,25 @@ func TestVCRWorkloadIntegration(t *testing.T) {
 	}
 	if m.RespTimeP50 <= 0 || m.RespTimeP99 < m.RespTimeP50 {
 		t.Fatalf("histogram percentiles wrong: p50=%v p99=%v", m.RespTimeP50, m.RespTimeP99)
+	}
+}
+
+// A traced run renders its latency histograms once: in the trace
+// summary, not again in Metrics.String.
+func TestTraceHistogramsPrintedOnce(t *testing.T) {
+	cfg := tinyConfig(8)
+	cfg.MeasureTime = 20 * sim.Second
+	cfg.Trace = trace.Options{Enabled: true}
+	m, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(m.String())
+	if err := trace.WriteSummary(&b, m.Trace); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "disk wait (s)"); n != 1 {
+		t.Fatalf("disk wait histogram printed %d times, want 1:\n%s", n, b.String())
 	}
 }

@@ -246,16 +246,8 @@ func (m Metrics) String() string {
 		}
 	}
 	if t := m.Trace; t != nil {
+		// The latency histograms render in trace.WriteSummary only.
 		fmt.Fprintf(&b, "trace: %d events (%d retained)\n", t.Total, len(t.Events))
-		if t.DiskWait != nil && t.DiskWait.Count() > 0 {
-			fmt.Fprintf(&b, "trace disk wait (s):    %s\n", t.DiskWait)
-		}
-		if t.DiskService != nil && t.DiskService.Count() > 0 {
-			fmt.Fprintf(&b, "trace disk service (s): %s\n", t.DiskService)
-		}
-		if t.NetDelay != nil && t.NetDelay.Count() > 0 {
-			fmt.Fprintf(&b, "trace net delay (s):    %s\n", t.NetDelay)
-		}
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"spiffi/internal/admission"
 	"spiffi/internal/cache"
+	"spiffi/internal/cpu"
 	"spiffi/internal/disk"
 	"spiffi/internal/faults"
 	"spiffi/internal/layout"
@@ -101,7 +102,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		}
 	}
 
-	s.net = network.New(s.k, cfg.NetParams)
+	s.net = network.New(s.k)
 	s.net.SetTrace(s.rec)
 
 	nodeCfg := server.Config{
@@ -109,8 +110,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		Replacement: cfg.Replacement,
 		Sched:       cfg.Sched,
 		Prefetch:    cfg.Prefetch,
-		MIPS:        cfg.MIPS,
-		CPUCosts:    cfg.CPUCosts,
 		DiskParams:  cfg.DiskParams,
 	}
 	if cfg.ZonedDisks {
@@ -160,13 +159,12 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	ov := cfg.Overload
 	if ov.AdmitLimit > 0 {
 		s.adm = admission.NewController(s.k, ov.AdmitLimit)
-		s.adm.SetPatience(ov.Patience)
+		s.adm.SetPatience(overload.AdmitPatience)
 		s.adm.SetTrace(s.rec)
 		if ov.Adaptive || ov.Shed {
-			s.over = overload.NewController(s.k, ov, cfg.TotalDisks())
+			s.over = overload.NewController(s.k, ov, cfg.TotalDisks(), cfg.StripePlayTime())
 			s.over.SetLimiter(s.adm)
 			s.over.SetTrace(s.rec)
-			s.over.SetRejoinWarmup(cfg.RejoinWarmup)
 			for g := 0; g < cfg.TotalDisks(); g++ {
 				g := g
 				s.diskByGlobal(g).SetObserver(func(slack sim.Duration, qlen int) {
@@ -195,13 +193,13 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if s.health != nil || s.over != nil {
 		// A restarted node clears its suspicion directly (redirected
 		// terminals stop sending it requests, so they would never observe
-		// the OK that normally clears it) and opens the overload
-		// controller's rejoin warm-up window.
+		// the OK that normally clears it) and, with failover on, opens
+		// the overload controller's rejoin warm-up window.
 		for n, nd := range s.nodes {
 			n, nd := n, nd
 			nd.SetRestartHook(func(downtime sim.Duration) {
 				s.health.NoteRestart(n, downtime)
-				if s.over != nil {
+				if s.over != nil && cfg.Failover {
 					s.over.NoteRejoin()
 				}
 			})
@@ -232,20 +230,16 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 
 	zipf := rng.NewZipf(cfg.NumVideos(), cfg.ZipfZ)
-	instr := func(n int64) sim.Duration {
-		return sim.DurationOfSeconds(float64(n) / (cfg.MIPS * 1e6))
-	}
 	tcfg := terminal.Config{
 		MemBytes:              cfg.TerminalMemBytes,
-		SendLatency:           instr(cfg.CPUCosts.Send),
-		RecvLatency:           instr(cfg.CPUCosts.Receive),
+		SendLatency:           cpu.InstrTime(cpu.SendInstr),
+		RecvLatency:           cpu.InstrTime(cpu.ReceiveInstr),
 		Pause:                 cfg.Pause,
 		VCR:                   cfg.VCR,
 		RandomInitialPosition: cfg.RandomInitialPosition,
 		RequestTimeout:        cfg.RequestTimeout,
 		MaxRetries:            cfg.MaxRetries,
 		RetryBackoff:          cfg.RetryBackoff,
-		RetryBackoffCap:       cfg.RetryBackoffCap,
 		OnRespTime: func(d sim.Duration) {
 			if s.measuring {
 				s.respHist.Add(d.Seconds())
@@ -259,7 +253,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		// Assigned only when non-nil: a typed-nil *Controller in the
 		// interface field would pass the != nil checks in the terminal.
 		tcfg.Admission = s.adm
-		tcfg.AdmitRetryDelay = ov.RetryDelay
 	}
 	if s.piggy != nil {
 		tcfg.Gate = s.piggy

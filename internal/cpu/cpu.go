@@ -11,40 +11,30 @@ import (
 	"spiffi/internal/sim"
 )
 
-// Costs holds instruction counts for the charged operations.
-type Costs struct {
-	StartIO int64 // instructions to initiate a disk I/O
-	Send    int64 // instructions to send a message
-	Receive int64 // instructions to receive a message
-}
+// Table 1 instruction counts for the charged operations.
+const (
+	startIOInstr int64 = 20000 // instructions to initiate a disk I/O
+	SendInstr    int64 = 6800  // instructions to send a message
+	ReceiveInstr int64 = 2200  // instructions to receive a message
+)
 
-// DefaultCosts returns the Table 1 instruction counts.
-func DefaultCosts() Costs {
-	return Costs{StartIO: 20000, Send: 6800, Receive: 2200}
-}
+// mips is the Table 1 processor rating.
+const mips float64 = 40
 
 // CPU is one node processor.
 type CPU struct {
-	fac   *sim.Facility
-	mips  float64
-	costs Costs
+	fac *sim.Facility
 }
 
-// New creates a CPU with the given MIPS rating (paper: 40).
-func New(k *sim.Kernel, id int, mips float64, costs Costs) *CPU {
-	if mips <= 0 {
-		panic("cpu: non-positive MIPS")
-	}
-	return &CPU{
-		fac:   sim.NewFacility(k, fmt.Sprintf("cpu-%d", id)),
-		mips:  mips,
-		costs: costs,
-	}
+// New creates node id's CPU.
+func New(k *sim.Kernel, id int) *CPU {
+	return &CPU{fac: sim.NewFacility(k, fmt.Sprintf("cpu-%d", id))}
 }
 
-// instrTime converts an instruction count into execution time.
-func (c *CPU) instrTime(instrs int64) sim.Duration {
-	return sim.DurationOfSeconds(float64(instrs) / (c.mips * 1e6))
+// InstrTime converts an instruction count into execution time at the
+// Table 1 rating.
+func InstrTime(instrs int64) sim.Duration {
+	return sim.DurationOfSeconds(float64(instrs) / (mips * 1e6))
 }
 
 // Execute charges `instrs` instructions, queueing FCFS behind other work.
@@ -52,21 +42,18 @@ func (c *CPU) Execute(p *sim.Proc, instrs int64) {
 	if instrs <= 0 {
 		return
 	}
-	c.fac.Use(p, c.instrTime(instrs))
+	c.fac.Use(p, InstrTime(instrs))
 }
 
 // StartIO charges the I/O initiation cost.
-func (c *CPU) StartIO(p *sim.Proc) { c.Execute(p, c.costs.StartIO) }
+func (c *CPU) StartIO(p *sim.Proc) { c.Execute(p, startIOInstr) }
 
 // Send charges the message send cost.
-func (c *CPU) Send(p *sim.Proc) { c.Execute(p, c.costs.Send) }
+func (c *CPU) Send(p *sim.Proc) { c.Execute(p, SendInstr) }
 
 // Receive charges the message receive cost.
-func (c *CPU) Receive(p *sim.Proc) { c.Execute(p, c.costs.Receive) }
+func (c *CPU) Receive(p *sim.Proc) { c.Execute(p, ReceiveInstr) }
 
 // BusyTime reports the CPU's cumulative busy time, including the
 // instructions executing now.
 func (c *CPU) BusyTime() sim.Duration { return c.fac.BusyTime() }
-
-// Costs returns the configured instruction costs.
-func (c *CPU) Costs() Costs { return c.costs }

@@ -10,7 +10,7 @@ import (
 func TestInstructionTiming(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := New(k, 0, 40, DefaultCosts())
+	c := New(k, 0)
 	var doneAt sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		c.StartIO(p) // 20000 instrs at 40 MIPS = 500 µs
@@ -27,7 +27,7 @@ func TestInstructionTiming(t *testing.T) {
 func TestSendReceiveCosts(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := New(k, 0, 40, DefaultCosts())
+	c := New(k, 0)
 	var doneAt sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		c.Send(p)    // 6800/40e6 = 170 µs
@@ -45,7 +45,7 @@ func TestSendReceiveCosts(t *testing.T) {
 func TestFCFSContention(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := New(k, 0, 40, DefaultCosts())
+	c := New(k, 0)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("w", func(p *sim.Proc) {
@@ -70,7 +70,7 @@ func TestFCFSContention(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := New(k, 0, 40, DefaultCosts())
+	c := New(k, 0)
 	k.Spawn("w", func(p *sim.Proc) {
 		c.Execute(p, 20_000_000) // 0.5s of work
 	})
@@ -85,7 +85,7 @@ func TestUtilization(t *testing.T) {
 func TestZeroInstructionsFree(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := New(k, 0, 40, DefaultCosts())
+	c := New(k, 0)
 	var doneAt sim.Time = -1
 	k.Spawn("w", func(p *sim.Proc) {
 		c.Execute(p, 0)

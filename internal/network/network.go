@@ -13,22 +13,12 @@ import (
 	"spiffi/internal/trace"
 )
 
-// Params describes the wire model.
-type Params struct {
-	FixedDelay   sim.Duration // per message (paper: 5 µs)
-	PerByteDelay sim.Duration // per payload byte (paper: 0.04 µs)
-	MeterWindow  float64      // seconds per bandwidth-meter window
-}
-
-// DefaultParams returns the Table 1 network parameters with a 1-second
-// bandwidth metering window.
-func DefaultParams() Params {
-	return Params{
-		FixedDelay:   5 * sim.Microsecond,
-		PerByteDelay: 40 * sim.Nanosecond,
-		MeterWindow:  1.0,
-	}
-}
+// The Table 1 wire model, metered in 1-second bandwidth windows.
+const (
+	fixedDelay   = 5 * sim.Microsecond // per message
+	perByteDelay = 40 * sim.Nanosecond // per payload byte
+	meterWindow  = 1.0                 // seconds per bandwidth-meter window
+)
 
 // Hook intercepts messages for fault injection. Mangle is consulted once
 // per Send, after metering: drop=true discards the message (the receiver
@@ -42,7 +32,6 @@ type Hook interface {
 // Network is the shared bus.
 type Network struct {
 	k       *sim.Kernel
-	params  Params
 	meter   *stats.PeakRateMeter
 	sent    int64
 	hook    Hook
@@ -51,17 +40,16 @@ type Network struct {
 }
 
 // New creates the bus.
-func New(k *sim.Kernel, params Params) *Network {
+func New(k *sim.Kernel) *Network {
 	return &Network{
-		k:      k,
-		params: params,
-		meter:  stats.NewPeakRateMeter(params.MeterWindow),
+		k:     k,
+		meter: stats.NewPeakRateMeter(meterWindow),
 	}
 }
 
 // WireDelay returns the latency for a message with `size` payload bytes.
 func (n *Network) WireDelay(size int64) sim.Duration {
-	return n.params.FixedDelay + sim.Duration(size)*n.params.PerByteDelay
+	return fixedDelay + sim.Duration(size)*perByteDelay
 }
 
 // Send delivers `payload` after the wire delay by invoking deliver in

@@ -15,7 +15,7 @@ import (
 func TestEqualTimestampDeliveryOrder(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	n := New(k, DefaultParams())
+	n := New(k)
 	var order []int
 	k.At(0, func() {
 		for i := 0; i < 8; i++ {
@@ -49,7 +49,7 @@ func (h *scriptedHook) Mangle(int64) (bool, sim.Duration) {
 func TestHookDropsAndJitters(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	n := New(k, DefaultParams())
+	n := New(k)
 	n.SetHook(&scriptedHook{extra: sim.Millisecond})
 	var times []sim.Time
 	k.At(0, func() {
@@ -90,7 +90,7 @@ func TestNetModelDeterminism(t *testing.T) {
 	run := func() []sim.Time {
 		k := sim.NewKernel()
 		defer k.Close()
-		n := New(k, DefaultParams())
+		n := New(k)
 		n.SetHook(faults.NewNetModel(cfg, rng.New(42)))
 		times := []sim.Time{}
 		k.At(0, func() {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWireDelayFormula(t *testing.T) {
-	n := New(sim.NewKernel(), DefaultParams())
+	n := New(sim.NewKernel())
 	// 5 µs + 0.04 µs/byte: a 1000-byte message takes 45 µs.
 	if got, want := n.WireDelay(1000), sim.Duration(45*sim.Microsecond); got != want {
 		t.Fatalf("WireDelay(1000) = %v, want %v", got, want)
@@ -26,7 +26,7 @@ func TestWireDelayFormula(t *testing.T) {
 func TestSendDeliversAfterDelay(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	n := New(k, DefaultParams())
+	n := New(k)
 	var deliveredAt sim.Time = -1
 	k.At(0, func() {
 		n.Send(1000, func() { deliveredAt = k.Now() })
@@ -44,7 +44,7 @@ func TestNoQueueingUnlimitedBandwidth(t *testing.T) {
 	// unlimited aggregate bandwidth (§6.2).
 	k := sim.NewKernel()
 	defer k.Close()
-	n := New(k, DefaultParams())
+	n := New(k)
 	var times []sim.Time
 	k.At(0, func() {
 		n.Send(1000, func() { times = append(times, k.Now()) })
@@ -61,7 +61,7 @@ func TestNoQueueingUnlimitedBandwidth(t *testing.T) {
 func TestBandwidthMetering(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	n := New(k, DefaultParams())
+	n := New(k)
 	k.At(0, func() { n.Send(1_000_000, func() {}) })
 	k.At(sim.Time(2*sim.Second), func() { n.Send(3_000_000, func() {}) })
 	if err := k.RunAll(); err != nil {

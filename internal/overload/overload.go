@@ -8,20 +8,20 @@
 // must be measured, not precomputed: per-disk deadline slack (how much
 // margin each demand read has left when it reaches the disk arm) and
 // queue depth are smoothed with an EWMA; when the worst disk's slack
-// collapses below SlackLow the system is treated as over capacity —
-// the admission limit is stepped down and the lowest-priority active
-// streams are downshifted to degraded mode — and when slack recovers
-// above SlackHigh the limit is raised and shed streams are restored.
+// collapses below one stripe play time the system is treated as over
+// capacity — the admission limit is stepped down and the
+// lowest-priority active streams are downshifted to degraded mode —
+// and when slack recovers above two stripe play times the limit is
+// raised and shed streams are restored.
 //
-// The controller also owns the rejoin warm-up (SetRejoinWarmup,
-// NoteRejoin): after a crashed node restarts, its disks return with
-// cold buffer pools and a backlog of redirected sessions, so the
-// measured slack briefly looks healthy while the rejoining node is
-// still fragile. For the configured warm-up the estimator suppresses
-// limit *raises* — lowers and sheds still apply, and shed-stream
-// restores are unaffected (they return capacity to streams already
-// admitted) — letting the node refill its pool before new load is
-// admitted against it.
+// The controller also owns the rejoin warm-up (NoteRejoin): after a
+// crashed node restarts, its disks return with cold buffer pools and a
+// backlog of redirected sessions, so the measured slack briefly looks
+// healthy while the rejoining node is still fragile. For rejoinWarmup
+// the estimator suppresses limit *raises* — lowers and sheds still
+// apply, and shed-stream restores are unaffected (they return capacity
+// to streams already admitted) — letting the node refill its pool
+// before new load is admitted against it.
 //
 // Everything here is deterministic: the controller consumes no
 // randomness, and a zero Config arms no timers and changes nothing, so
@@ -47,14 +47,6 @@ type Config struct {
 	// Adaptive lets the capacity estimator adjust the admission limit
 	// at runtime.
 	Adaptive bool
-	// Patience bounds how long a stream waits in the admission queue
-	// before it is rejected with a NACK (default 10s when AdmitLimit
-	// is set; <0 = wait forever).
-	Patience sim.Duration
-	// RetryDelay is the base delay before a rejected stream asks for
-	// admission again (default 5s; terminals add derived-stream jitter
-	// on top so rejected streams do not retry in lockstep).
-	RetryDelay sim.Duration
 
 	// Shed enables graceful load shedding: under pressure the
 	// controller downshifts the highest-numbered (lowest-priority)
@@ -67,22 +59,6 @@ type Config struct {
 	// setting it alone arms nothing. Defaults to 0.5 when Shed is set.
 	ProtectedFraction float64
 
-	// Interval is the estimator's decision period (default 1s).
-	Interval sim.Duration
-	// SlackLow/SlackHigh are the pressure and recovery thresholds on
-	// the worst per-disk slack EWMA. Defaults: 1x and 2x the stripe
-	// play time (filled by Normalize from the reference duration).
-	// Steady-state dispatch slack is bounded by how far ahead the
-	// terminal buffer lets streams request (a few stripe play times),
-	// so a recovery threshold much above 2x is never reached even by a
-	// healthy system.
-	SlackLow  sim.Duration
-	SlackHigh sim.Duration
-	// Alpha is the EWMA smoothing weight (default 0.1).
-	Alpha float64
-	// MinLimitFraction floors the adaptive limit at this fraction of
-	// AdmitLimit (default 0.25).
-	MinLimitFraction float64
 	// QueueHigh is the smoothed disk queue depth treated as pressure
 	// even when slack still looks healthy (default 16).
 	QueueHigh int
@@ -106,43 +82,34 @@ type Config struct {
 	RebuildRate int64
 }
 
+// The estimator's fixed tuning. The pressure and recovery thresholds
+// on the worst per-disk slack EWMA are 1x and 2x the stripe play time
+// (NewController's ref): a demand read whose deadline is less than one
+// block's play time away is about to miss, and steady-state dispatch
+// slack is bounded by how far ahead the terminal buffer lets streams
+// request (a few stripe play times), so a recovery threshold much above
+// 2x is never reached even by a healthy system.
+const (
+	// AdmitPatience bounds how long a stream waits in the admission
+	// queue before it is rejected with a NACK.
+	AdmitPatience = 10 * sim.Second
+
+	rejoinWarmup           = 30 * sim.Second // raise hold after a node rejoin
+	decisionPeriod         = sim.Second      // estimator tick
+	ewmaWeight     float64 = 0.1             // EWMA smoothing weight
+	limitFloor     float64 = 0.25            // adaptive-limit floor, as a fraction of AdmitLimit
+)
+
 // Enabled reports whether any overload mechanism is active.
 func (c Config) Enabled() bool { return c.AdmitLimit > 0 || c.RebuildRate > 0 }
 
-// Normalize fills defaults. ref is the stripe play time, the natural
-// slack unit: a demand read whose deadline is less than one block's
-// play time away is about to miss.
-func (c Config) Normalize(ref sim.Duration) Config {
-	if c.AdmitLimit > 0 {
-		if c.Patience == 0 {
-			c.Patience = 10 * sim.Second
-		}
-		if c.RetryDelay == 0 {
-			c.RetryDelay = 5 * sim.Second
-		}
-	}
+// Normalize fills defaults.
+func (c Config) Normalize() Config {
 	if c.Shed && c.ProtectedFraction == 0 {
 		c.ProtectedFraction = 0.5
 	}
-	if c.Adaptive || c.Shed {
-		if c.Interval == 0 {
-			c.Interval = sim.Second
-		}
-		if c.SlackLow == 0 {
-			c.SlackLow = ref
-		}
-		if c.SlackHigh == 0 {
-			c.SlackHigh = 2 * ref
-		}
-		if c.Alpha == 0 {
-			c.Alpha = 0.1
-		}
-		if c.MinLimitFraction == 0 {
-			c.MinLimitFraction = 0.25
-		}
-		if c.QueueHigh == 0 {
-			c.QueueHigh = 16
-		}
+	if (c.Adaptive || c.Shed) && c.QueueHigh == 0 {
+		c.QueueHigh = 16
 	}
 	return c
 }
@@ -158,14 +125,8 @@ func (c Config) Validate() error {
 	if c.ProtectedFraction < 0 || c.ProtectedFraction > 1 {
 		return fmt.Errorf("overload: ProtectedFraction %v outside [0,1]", c.ProtectedFraction)
 	}
-	if c.MinLimitFraction < 0 || c.MinLimitFraction > 1 {
-		return fmt.Errorf("overload: MinLimitFraction %v outside [0,1]", c.MinLimitFraction)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("overload: Alpha %v outside [0,1]", c.Alpha)
-	}
-	if c.Interval < 0 || c.SlackLow < 0 || c.SlackHigh < 0 || c.HoldAfterCut < 0 {
-		return fmt.Errorf("overload: negative estimator duration")
+	if c.HoldAfterCut < 0 {
+		return fmt.Errorf("overload: negative HoldAfterCut")
 	}
 	if c.RaiseStreak < 0 {
 		return fmt.Errorf("overload: RaiseStreak %d negative", c.RaiseStreak)
@@ -214,9 +175,9 @@ type Stats struct {
 
 // Controller is the EWMA capacity estimator. It observes every demand
 // dispatch on every disk (ObserveDispatch, wired through disk
-// observers), and once per Interval compares the worst smoothed slack
-// against the thresholds to move the admission limit and the shed
-// set. Streams are shed from the highest id down; ids below the
+// observers), and once per decisionPeriod compares the worst smoothed
+// slack against the thresholds to move the admission limit and the
+// shed set. Streams are shed from the highest id down; ids below the
 // protected count are never shed.
 type Controller struct {
 	k   *sim.Kernel
@@ -226,6 +187,8 @@ type Controller struct {
 	lim       Limiter
 	streams   []Stream
 	protected int
+
+	ref sim.Duration // stripe play time: pressure below 1x, recovery above 2x
 
 	slack []sim.Duration // per-disk smoothed deadline slack
 	seen  []bool         // disk dispatched since last tick
@@ -248,17 +211,18 @@ type Controller struct {
 	// instantly re-saturated by a wave of new admissions. Shed-stream
 	// restores are unaffected — they return capacity to streams already
 	// admitted.
-	warmup      sim.Duration
 	warmupUntil sim.Time
 }
 
-// NewController builds an estimator over disks total disks. The
-// limiter and stream set are wired separately (SetLimiter,
-// SetStreams); Start arms the tick chain.
-func NewController(k *sim.Kernel, cfg Config, disks int) *Controller {
+// NewController builds an estimator over disks total disks. ref is the
+// stripe play time, the slack unit of the pressure and recovery
+// thresholds. The limiter and stream set are wired separately
+// (SetLimiter, SetStreams); Start arms the tick chain.
+func NewController(k *sim.Kernel, cfg Config, disks int, ref sim.Duration) *Controller {
 	return &Controller{
 		k:     k,
 		cfg:   cfg,
+		ref:   ref,
 		slack: make([]sim.Duration, disks),
 		seen:  make([]bool, disks),
 		init:  make([]bool, disks),
@@ -295,21 +259,14 @@ func (c *Controller) Start() {
 		c.seen[i] = false
 	}
 	c.qlen = 0
-	c.k.After(c.cfg.Interval, c.tick)
+	c.k.After(decisionPeriod, c.tick)
 }
 
-// SetRejoinWarmup sets how long after a node rejoin the estimator
-// holds the admission limit down (0 = no warm-up).
-func (c *Controller) SetRejoinWarmup(d sim.Duration) { c.warmup = d }
-
 // NoteRejoin records a node restart (wired from the server's restart
-// hook), opening the warm-up window during which relax() will not
-// raise the admission limit.
+// hook when failover is on), opening the rejoinWarmup window during
+// which relax() will not raise the admission limit.
 func (c *Controller) NoteRejoin() {
-	if c.warmup <= 0 {
-		return
-	}
-	if until := c.k.Now().Add(c.warmup); until > c.warmupUntil {
+	if until := c.k.Now().Add(rejoinWarmup); until > c.warmupUntil {
 		c.warmupUntil = until
 	}
 }
@@ -319,7 +276,7 @@ func (c *Controller) NoteRejoin() {
 // depth behind it. Called from the disk layer; prefetches and
 // infinite-deadline requests are filtered out there.
 func (c *Controller) ObserveDispatch(disk int, slack sim.Duration, qlen int) {
-	a := c.cfg.Alpha
+	a := ewmaWeight
 	if !c.init[disk] {
 		c.slack[disk] = slack
 		c.init[disk] = true
@@ -351,10 +308,10 @@ func (c *Controller) tick() {
 	}
 	if any {
 		switch {
-		case worst < c.cfg.SlackLow || c.qlen > float64(c.cfg.QueueHigh):
+		case worst < c.ref || c.qlen > float64(c.cfg.QueueHigh):
 			c.healthy = 0
 			c.pressure(worst)
-		case worst > c.cfg.SlackHigh && c.qlen < float64(c.cfg.QueueHigh)/2:
+		case worst > 2*c.ref && c.qlen < float64(c.cfg.QueueHigh)/2:
 			c.healthy++
 			c.relax(worst)
 		default:
@@ -363,14 +320,14 @@ func (c *Controller) tick() {
 	} else {
 		c.healthy = 0
 	}
-	c.k.After(c.cfg.Interval, c.tick)
+	c.k.After(decisionPeriod, c.tick)
 }
 
 // pressure steps the admission limit down and sheds more streams.
 func (c *Controller) pressure(worst sim.Duration) {
 	if c.cfg.Adaptive && c.lim != nil {
 		cur := c.lim.Limit()
-		floor := int(float64(c.cfg.AdmitLimit) * c.cfg.MinLimitFraction)
+		floor := int(float64(c.cfg.AdmitLimit) * limitFloor)
 		if floor < 1 {
 			floor = 1
 		}

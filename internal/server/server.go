@@ -33,8 +33,6 @@ type Config struct {
 	Replacement bufferpool.PolicyKind
 	Sched       dsched.Config
 	Prefetch    prefetch.Config
-	MIPS        float64
-	CPUCosts    cpu.Costs
 	DiskParams  disk.Params
 
 	// ZonedDisks, when non-nil, replaces constant-cylinder drives with
@@ -140,7 +138,7 @@ func New(
 		id:             id,
 		k:              k,
 		cfg:            cfg,
-		cpu:            cpu.New(k, id, cfg.MIPS, cfg.CPUCosts),
+		cpu:            cpu.New(k, id),
 		pool:           bufferpool.New(k, cfg.PoolPages, cfg.Replacement.New()),
 		net:            net,
 		place:          place,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spiffi/internal/bufferpool"
-	"spiffi/internal/cpu"
 	"spiffi/internal/disk"
 	"spiffi/internal/dsched"
 	"spiffi/internal/layout"
@@ -28,7 +27,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	k := sim.NewKernel()
 	// One node, two disks; one "video" of 64 blocks of 256 KB.
 	place := layout.NewStriped([]int64{64 * 256 * 1024}, 256*1024, 1, 2)
-	net := network.New(k, network.DefaultParams())
+	net := network.New(k)
 	srcs := []*rng.Source{rng.New(1), rng.New(2)}
 	node := New(k, 0, cfg, net, place, srcs, sim.Duration(524*sim.Millisecond))
 	return &rig{k: k, node: node, place: place, net: net}
@@ -40,8 +39,6 @@ func baseCfg() Config {
 		Replacement: bufferpool.PolicyLovePrefetch,
 		Sched:       dsched.Config{Kind: dsched.KindElevator},
 		Prefetch:    prefetch.Config{Mode: prefetch.ModeBasic, WorkersPerDisk: 1},
-		MIPS:        40,
-		CPUCosts:    cpu.DefaultCosts(),
 		DiskParams:  disk.DefaultParams(),
 	}
 }
@@ -176,7 +173,7 @@ func TestMisroutedRequestPanics(t *testing.T) {
 	// Two nodes' layout, but we build only node 0 and send it a block
 	// belonging to node 1.
 	place := layout.NewStriped([]int64{64 * 256 * 1024}, 256*1024, 2, 1)
-	net := network.New(k, network.DefaultParams())
+	net := network.New(k)
 	node := New(k, 0, baseCfg(), net, place, []*rng.Source{rng.New(1)}, sim.Second)
 	k.At(0, func() {
 		node.DeliverRequest(&proto.BlockRequest{

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -566,6 +567,28 @@ func TestWakeOrderingDeterministic(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("wake order = %v", order)
 		}
+	}
+}
+
+// Waking a process twice breaks the handoff protocol: the second
+// dispatch would end its next Sleep early, at t=0. The second wake must
+// fail the run instead, naming the process.
+func TestDoubleWakePanics(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	woke := Time(-1)
+	sleeper := k.Spawn("sleeper", func(p *Proc) {
+		p.Block()
+		p.Sleep(Second)
+		woke = p.Now()
+	})
+	k.Spawn("waker", func(p *Proc) {
+		k.Wake(sleeper)
+		k.Wake(sleeper)
+	})
+	err := k.Run(Time(Second / 2))
+	if err == nil || !strings.Contains(err.Error(), `"sleeper"`) {
+		t.Fatalf("double wake not caught: err=%v, sleeper's 1s sleep ended at %v", err, woke)
 	}
 }
 

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Proc is a simulation process: a goroutine that runs user logic and
 // yields to the kernel whenever it waits for simulated time to pass or
 // for a condition to be signalled. At most one process runs at a time.
@@ -8,6 +10,10 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	kill   bool
+
+	// wakePending is set by WakeAt and cleared by dispatch: a second
+	// wake while one is pending would resume the process out of turn.
+	wakePending bool
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
@@ -42,6 +48,7 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // dispatch transfers control to p and waits until p blocks or terminates.
 // It runs in kernel context (from an event callback).
 func (k *Kernel) dispatch(p *Proc) {
+	p.wakePending = false
 	p.resume <- struct{}{}
 	<-k.yield
 }
@@ -70,12 +77,15 @@ func (p *Proc) Block() {
 // called from kernel context or from another process. Waking a process
 // that is not blocked in Block (or a timed wait) corrupts the handoff
 // protocol, so primitives must track waiter state carefully.
-func (k *Kernel) Wake(p *Proc) {
-	k.At(k.now, func() { k.dispatch(p) })
-}
+func (k *Kernel) Wake(p *Proc) { k.WakeAt(k.now, p) }
 
-// WakeAt schedules p to resume at absolute time t.
+// WakeAt schedules p to resume at absolute time t. It panics, naming
+// the process, if a wake of p is already pending.
 func (k *Kernel) WakeAt(t Time, p *Proc) {
+	if p.wakePending {
+		panic(fmt.Sprintf("sim: process %q woken while a wake is already pending", p.name))
+	}
+	p.wakePending = true
 	k.At(t, func() { k.dispatch(p) })
 }
 

@@ -90,16 +90,13 @@ func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) {
 }
 
 // backoffFor returns the exponential backoff before attempt tries+1:
-// RetryBackoff doubling per retry, clamped to RetryBackoffCap (64x the
-// base when unset). The clamp keeps large retry budgets from shifting
-// the duration past int64 into a negative value, which would panic the
-// kernel ("scheduling event in the past").
+// RetryBackoff doubling per retry, clamped to 64x the base. The clamp
+// keeps large retry budgets from shifting the duration past int64 into
+// a negative value, which would panic the kernel ("scheduling event in
+// the past").
 func (t *Terminal) backoffFor(tries int) sim.Duration {
 	backoff := t.cfg.RetryBackoff
-	limit := t.cfg.RetryBackoffCap
-	if limit <= 0 {
-		limit = 64 * t.cfg.RetryBackoff
-	}
+	limit := 64 * t.cfg.RetryBackoff
 	for i := 1; i < tries && backoff < limit; i++ {
 		backoff *= 2
 	}

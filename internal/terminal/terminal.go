@@ -138,12 +138,6 @@ type Config struct {
 	MaxRetries     int
 	RetryBackoff   sim.Duration
 
-	// RetryBackoffCap bounds the exponential backoff growth; zero picks
-	// 64x RetryBackoff. Without a cap a large retry budget would shift
-	// the backoff past the int64 range into a negative duration, which
-	// the kernel rejects as scheduling in the past.
-	RetryBackoffCap sim.Duration
-
 	// RetryJitter adds a uniform draw from [0, RetryJitter) on top of
 	// each retry backoff, desynchronizing the retry storm when many
 	// streams hit the same dead disk or restarted node. Zero (the
