@@ -1,18 +1,22 @@
 # Tier-1 verification for the SPIFFI simulator. `make verify` is what CI
-# (and pre-commit discipline) runs: build, vet, the full test suite, and
-# a race-detector pass in short mode. The simulation-heavy experiment
-# tests skip themselves under -short, but the parallel-runner coverage
+# (and pre-commit discipline) runs: build, a gofmt check, vet, the full
+# test suite, and a race-detector pass in short mode. The simulation-heavy
+# experiment tests skip themselves under -short, but the parallel-runner coverage
 # (core search parity and the fig09 worker-determinism check) does not,
 # so the race pass always exercises multi-worker execution.
 
 GO ?= go
 
-.PHONY: all build vet test race determinism verify bench bench-workers digests trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
+.PHONY: all build fmt-check vet test race determinism verify bench bench-workers digests trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# gofmt reports files whose formatting differs; any output fails.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -79,7 +83,7 @@ fuzz-seed:
 fuzz-workload:
 	$(GO) test -fuzz FuzzWorkloadSchedule -fuzztime 30s ./internal/workload/
 
-verify: build vet staticcheck govulncheck test race trace-guard chaos-soak fuzz-seed doc-check
+verify: build fmt-check vet staticcheck govulncheck test race trace-guard chaos-soak fuzz-seed doc-check
 
 # Seeded chaos suite under the race detector: fault injection, overload
 # control, admission, retry and rebuild tests (FAULTS.md, OVERLOAD.md).

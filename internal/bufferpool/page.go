@@ -36,13 +36,13 @@ type Page struct {
 	// in-flight page block on it.
 	Ready *sim.Event
 
-	// prefetched reports the page currently sits on the prefetched-pages
-	// chain (it was brought in by a prefetch and has not yet been
-	// referenced by any terminal).
+	// prefetched reports the page was brought in by a prefetch and has
+	// not yet been referenced by any terminal (under love-prefetch it
+	// sits on the prefetched-pages chain).
 	prefetched bool
 
 	// defunct marks a page whose fetch failed (disk fail-stop): it has
-	// been removed from the table and the policy, its frame returned to
+	// been removed from the table and its chain, its frame returned to
 	// the free list. Waiters woken by Ready must check Valid() — false
 	// means the read died. Remaining Unpins on a defunct page are no-ops.
 	defunct bool
@@ -64,7 +64,7 @@ func (pg *Page) Valid() bool { return pg.state == stateValid }
 // Pinned reports whether the page is pinned.
 func (pg *Page) Pinned() bool { return pg.pin > 0 }
 
-// Prefetched reports whether the page sits on the prefetched chain.
+// Prefetched reports whether the page was prefetched and not yet referenced.
 func (pg *Page) Prefetched() bool { return pg.prefetched }
 
 // referencedByOther reports whether any terminal other than t has
@@ -138,6 +138,3 @@ func (c *chain) firstEvictable() *Page {
 	}
 	return nil
 }
-
-// Len returns the number of pages on the chain.
-func (c *chain) Len() int { return c.size }

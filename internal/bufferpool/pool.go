@@ -62,22 +62,60 @@ func (s Stats) HitFraction() float64 {
 	return float64(s.DemandHits+s.InFlightHits) / float64(s.DemandRefs)
 }
 
+// PolicyKind selects a page replacement policy in configurations.
+type PolicyKind string
+
+// The two policies the paper compares (§5.2.1).
+const (
+	// PolicyGlobalLRU is the basic SPIFFI policy: a single LRU chain that
+	// does not distinguish prefetched from referenced pages. The victim
+	// is the first available page from the LRU end.
+	PolicyGlobalLRU PolicyKind = "global-lru"
+
+	// PolicyLovePrefetch is the paper's two-chain policy (Figure 4):
+	// prefetched pages live on their own LRU chain and move to the
+	// referenced-pages chain on first reference. Victims come from the
+	// referenced chain first — video data is consumed once and almost
+	// never re-referenced, so protecting unconsumed prefetched pages (and
+	// sacrificing already-consumed referenced pages) minimizes wasted
+	// prefetch I/O and memory.
+	PolicyLovePrefetch PolicyKind = "love-prefetch"
+)
+
+// Validate reports an unknown policy kind.
+func (k PolicyKind) Validate() error {
+	if k != PolicyGlobalLRU && k != PolicyLovePrefetch {
+		return fmt.Errorf("bufferpool: unknown policy kind %q", k)
+	}
+	return nil
+}
+
 // Pool is one node's buffer pool.
 type Pool struct {
 	k        *sim.Kernel
 	capacity int
 	free     int
 	table    map[PageID]*Page
-	policy   Policy
 	waiters  []*sim.Proc
 	stats    Stats
+
+	// Replacement: resident pages sit on one of two LRU chains. Under
+	// global LRU every page joins the referenced chain, so the
+	// prefetched chain stays empty.
+	kind       PolicyKind
+	referenced chain
+	prefetched chain
 
 	rec  *trace.Recorder // nil unless tracing is enabled
 	node int             // owning node id, stamped into trace events
 }
 
-// New creates a pool of `capacity` stripe-block frames.
-func New(k *sim.Kernel, capacity int, policy Policy) *Pool {
+// New creates a pool of `capacity` stripe-block frames replacing pages
+// under the given policy.
+func New(k *sim.Kernel, capacity int, kind PolicyKind) *Pool {
+	if err := kind.Validate(); err != nil {
+		panic(err)
+	}
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufferpool: capacity %d", capacity))
 	}
@@ -86,7 +124,7 @@ func New(k *sim.Kernel, capacity int, policy Policy) *Pool {
 		capacity: capacity,
 		free:     capacity,
 		table:    make(map[PageID]*Page, capacity),
-		policy:   policy,
+		kind:     kind,
 	}
 }
 
@@ -102,9 +140,6 @@ func (b *Pool) Capacity() int { return b.capacity }
 
 // Resident returns the number of pages in the table.
 func (b *Pool) Resident() int { return len(b.table) }
-
-// Policy returns the replacement policy.
-func (b *Pool) Policy() Policy { return b.policy }
 
 // Contains reports whether the block is resident (valid or in flight).
 // Delayed prefetching uses it to skip redundant prefetches cheaply.
@@ -129,7 +164,7 @@ func (b *Pool) Acquire(p *sim.Proc, id PageID, terminal int, prefetch bool) (*Pa
 			b.free--
 			return b.insertNew(id, terminal, prefetch), MustFetch
 		}
-		if v := b.policy.Victim(); v != nil {
+		if v := b.victim(); v != nil {
 			b.evict(v)
 			continue
 		}
@@ -160,7 +195,7 @@ func (b *Pool) acquireResident(pg *Page, terminal int, prefetch bool) (*Page, Ou
 		b.rec.PoolProtect(b.node, terminal, pg.ID.Video, pg.ID.Block)
 	}
 	pg.noteReference(terminal)
-	b.policy.OnReference(pg)
+	b.touch(pg)
 	pg.pin++
 	if pg.state == stateValid {
 		b.stats.DemandHits++
@@ -188,8 +223,38 @@ func (b *Pool) insertNew(id PageID, terminal int, prefetch bool) *Page {
 		b.rec.PoolMiss(b.node, terminal, id.Video, id.Block)
 	}
 	b.table[id] = pg
-	b.policy.OnInsert(pg, prefetch)
+	b.place(pg, prefetch)
 	return pg
+}
+
+// place puts a newly allocated page, which entered the pool via a
+// prefetch (prefetched=true) or a demand miss, at the MRU end of its
+// chain.
+func (b *Pool) place(pg *Page, prefetched bool) {
+	pg.prefetched = prefetched
+	if prefetched && b.kind == PolicyLovePrefetch {
+		b.prefetched.pushTail(pg)
+		return
+	}
+	b.referenced.pushTail(pg)
+}
+
+// touch records a demand reference to a resident page: it moves to the
+// MRU end of the referenced chain.
+func (b *Pool) touch(pg *Page) {
+	pg.chain.remove(pg)
+	pg.prefetched = false
+	b.referenced.pushTail(pg)
+}
+
+// victim nominates the page to evict, or nil if none is evictable: the
+// least recently used evictable referenced page, else the least recently
+// used evictable prefetched one.
+func (b *Pool) victim() *Page {
+	if pg := b.referenced.firstEvictable(); pg != nil {
+		return pg
+	}
+	return b.prefetched.firstEvictable()
 }
 
 func (b *Pool) evict(pg *Page) {
@@ -197,7 +262,7 @@ func (b *Pool) evict(pg *Page) {
 		panic("bufferpool: evicting unevictable page")
 	}
 	b.rec.PoolEvict(b.node, pg.ID.Video, pg.ID.Block, pg.prefetched)
-	b.policy.OnEvict(pg)
+	pg.chain.remove(pg)
 	delete(b.table, pg.ID)
 	b.free++
 	b.stats.Evictions++
@@ -214,7 +279,7 @@ func (b *Pool) FetchComplete(pg *Page) {
 }
 
 // FetchFailed aborts an outstanding fetch whose disk read died (the drive
-// fail-stopped). The page is removed from the table and the policy so a
+// fail-stopped). The page is removed from the table and its chain so a
 // later acquire of the same block allocates a fresh frame; its frame
 // returns to the free list; Ready fires so in-flight waiters wake — they
 // must check Page.Valid() and treat false as a failed read. The caller and
@@ -224,7 +289,7 @@ func (b *Pool) FetchFailed(pg *Page) {
 		panic("bufferpool: FetchFailed on non-fetching page")
 	}
 	pg.defunct = true
-	b.policy.OnEvict(pg)
+	pg.chain.remove(pg)
 	delete(b.table, pg.ID)
 	b.free++
 	b.stats.FetchFails++

@@ -22,7 +22,7 @@ func runInProc(t *testing.T, fn func(p *sim.Proc)) {
 func TestAcquireMissFetchHit(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 4, NewGlobalLRU())
+	b := New(k, 4, PolicyGlobalLRU)
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Video: 1, Block: 7}
 		pg, out := b.Acquire(p, id, 0, false)
@@ -56,7 +56,7 @@ func TestAcquireMissFetchHit(t *testing.T) {
 func TestInFlightSecondRequesterWaits(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 4, NewGlobalLRU())
+	b := New(k, 4, PolicyGlobalLRU)
 	id := PageID{Video: 0, Block: 0}
 	var order []string
 	k.Spawn("fetcher", func(p *sim.Proc) {
@@ -110,7 +110,7 @@ func fill(p *sim.Proc, b *Pool, n int) []*Page {
 func TestGlobalLRUEvictsOldest(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 3, NewGlobalLRU())
+	b := New(k, 3, PolicyGlobalLRU)
 	k.Spawn("t", func(p *sim.Proc) {
 		fill(p, b, 3)
 		// Touch block 0 so block 1 is now LRU.
@@ -138,7 +138,7 @@ func TestGlobalLRUEvictsOldest(t *testing.T) {
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 2, NewGlobalLRU())
+	b := New(k, 2, PolicyGlobalLRU)
 	k.Spawn("t", func(p *sim.Proc) {
 		// Pin one page, leave the other unpinned.
 		pinned, _ := b.Acquire(p, PageID{Block: 1}, 0, false)
@@ -166,8 +166,7 @@ func TestPinnedPagesNotEvicted(t *testing.T) {
 func TestLovePrefetchProtectsPrefetchedPages(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	love := NewLovePrefetch()
-	b := New(k, 4, love)
+	b := New(k, 4, PolicyLovePrefetch)
 	k.Spawn("t", func(p *sim.Proc) {
 		// Two prefetched pages (older) and two referenced pages (newer).
 		for i := 0; i < 2; i++ {
@@ -180,8 +179,8 @@ func TestLovePrefetchProtectsPrefetchedPages(t *testing.T) {
 			b.FetchComplete(pg)
 			b.Unpin(pg)
 		}
-		if love.PrefetchedLen() != 2 || love.ReferencedLen() != 2 {
-			t.Errorf("chains = %d/%d, want 2/2", love.PrefetchedLen(), love.ReferencedLen())
+		if b.prefetched.size != 2 || b.referenced.size != 2 {
+			t.Errorf("chains = %d/%d, want 2/2", b.prefetched.size, b.referenced.size)
 		}
 		// New allocation: a referenced page must be sacrificed even though
 		// prefetched pages are older (global LRU would take those).
@@ -203,8 +202,7 @@ func TestLovePrefetchProtectsPrefetchedPages(t *testing.T) {
 func TestLovePrefetchReferenceMovesChains(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	love := NewLovePrefetch()
-	b := New(k, 4, love)
+	b := New(k, 4, PolicyLovePrefetch)
 	k.Spawn("t", func(p *sim.Proc) {
 		pg, _ := b.Acquire(p, PageID{Block: 5}, -1, true) // prefetch in
 		b.FetchComplete(pg)
@@ -220,8 +218,8 @@ func TestLovePrefetchReferenceMovesChains(t *testing.T) {
 		if pg.Prefetched() {
 			t.Error("referenced page must move to referenced chain")
 		}
-		if love.PrefetchedLen() != 0 || love.ReferencedLen() != 1 {
-			t.Errorf("chains = %d/%d", love.PrefetchedLen(), love.ReferencedLen())
+		if b.prefetched.size != 0 || b.referenced.size != 1 {
+			t.Errorf("chains = %d/%d", b.prefetched.size, b.referenced.size)
 		}
 	})
 	if err := k.RunAll(); err != nil {
@@ -232,7 +230,7 @@ func TestLovePrefetchReferenceMovesChains(t *testing.T) {
 func TestLovePrefetchFallsBackToPrefetchedChain(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 2, NewLovePrefetch())
+	b := New(k, 2, PolicyLovePrefetch)
 	k.Spawn("t", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
 			pg, _ := b.Acquire(p, PageID{Block: i}, -1, true)
@@ -255,10 +253,39 @@ func TestLovePrefetchFallsBackToPrefetchedChain(t *testing.T) {
 	}
 }
 
+// Global LRU keeps every page on the referenced chain, so the scenario
+// love-prefetch protects against evicts the oldest (prefetched) page.
+func TestGlobalLRUTreatsPrefetchedPagesAlike(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	b := New(k, 3, PolicyGlobalLRU)
+	k.Spawn("t", func(p *sim.Proc) {
+		pg, _ := b.Acquire(p, PageID{Video: 1}, -1, true)
+		b.FetchComplete(pg)
+		b.Unpin(pg)
+		if !pg.Prefetched() {
+			t.Error("prefetched page not marked")
+		}
+		fill(p, b, 2)
+		if b.prefetched.size != 0 || b.referenced.size != 3 {
+			t.Errorf("chains = %d/%d, want 0/3", b.prefetched.size, b.referenced.size)
+		}
+		npg, _ := b.Acquire(p, PageID{Video: 2}, 0, false)
+		b.FetchComplete(npg)
+		b.Unpin(npg)
+		if b.Contains(PageID{Video: 1}) {
+			t.Error("oldest page (prefetched) should have been the victim")
+		}
+	})
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAcquireBlocksUntilUnpin(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 1, NewGlobalLRU())
+	b := New(k, 1, PolicyGlobalLRU)
 	var got sim.Time = -1
 	var hold *Page
 	k.Spawn("holder", func(p *sim.Proc) {
@@ -292,7 +319,7 @@ func TestAcquireBlocksUntilUnpin(t *testing.T) {
 func TestSharingStatsFigure16(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 8, NewGlobalLRU())
+	b := New(k, 8, PolicyGlobalLRU)
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Video: 4, Block: 2}
 		pg, _ := b.Acquire(p, id, 0, false) // terminal 0 references
@@ -323,7 +350,7 @@ func TestSharingStatsFigure16(t *testing.T) {
 func TestPrefetchSkipsResidentPage(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	b := New(k, 4, NewLovePrefetch())
+	b := New(k, 4, PolicyLovePrefetch)
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Block: 3}
 		pg, _ := b.Acquire(p, id, 0, false)
@@ -352,7 +379,7 @@ func TestFrameConservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		k := sim.NewKernel()
 		defer k.Close()
-		b := New(k, 4, NewLovePrefetch())
+		b := New(k, 4, PolicyLovePrefetch)
 		ok := true
 		k.Spawn("t", func(p *sim.Proc) {
 			var pinned []*Page
@@ -390,14 +417,5 @@ func TestFrameConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPolicyKindFactory(t *testing.T) {
-	if PolicyGlobalLRU.New().Name() != "global-lru" {
-		t.Fatal("global lru factory")
-	}
-	if PolicyLovePrefetch.New().Name() != "love-prefetch" {
-		t.Fatal("love prefetch factory")
 	}
 }

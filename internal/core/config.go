@@ -309,8 +309,11 @@ func (c Config) Validate() error {
 	if err := c.Sched.Validate(); err != nil {
 		return err
 	}
-	if c.Prefetch.Mode == prefetch.ModeDelayed && c.Prefetch.MaxAdvance <= 0 {
-		return fmt.Errorf("core: delayed prefetching needs MaxAdvance > 0")
+	if err := c.Replacement.Validate(); err != nil {
+		return err
+	}
+	if err := c.Prefetch.Validate(); err != nil {
+		return err
 	}
 	if (c.Prefetch.Mode == prefetch.ModeDelayed || c.Prefetch.Mode == prefetch.ModeRealTime) && !c.Sched.IsRealTime() {
 		return fmt.Errorf("core: %s prefetching requires the real-time disk scheduler", c.Prefetch.Mode)

@@ -293,6 +293,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// Configurations that used to pass validation and then panic during
+// assembly (or silently run without prefetch workers) are rejected.
+func TestNewSimulationRejectsUnknownModes(t *testing.T) {
+	bad := map[string]func(*core.Config){
+		"replacement":      func(c *core.Config) { c.Replacement = "bogus" },
+		"prefetch mode":    func(c *core.Config) { c.Prefetch.Mode = "bogus" },
+		"prefetch workers": func(c *core.Config) { c.Prefetch.WorkersPerDisk = -1 },
+	}
+	for name, mutate := range bad {
+		cfg := tinyConfig(10)
+		mutate(&cfg)
+		if _, err := core.NewSimulation(cfg); err == nil {
+			t.Errorf("%s: NewSimulation accepted the configuration", name)
+		}
+	}
+}
+
 func TestNormalizePrefetchDefaults(t *testing.T) {
 	cfg := tinyConfig(10)
 	cfg.Sched = dsched.Config{Kind: dsched.KindRealTime, Classes: 3, Spacing: 4 * sim.Second}

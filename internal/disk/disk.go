@@ -94,7 +94,7 @@ type Disk struct {
 	id     int
 	k      *sim.Kernel
 	params Params
-	sched  dsched.Scheduler
+	sched  *dsched.Queue
 	src    *rng.Source
 
 	onComplete func(*dsched.Request)
@@ -141,7 +141,7 @@ type Disk struct {
 // New creates a disk and starts its service process on k. onComplete is
 // invoked in simulation context when a request finishes; it must not
 // block (fire an event or put to a mailbox to hand off).
-func New(k *sim.Kernel, id int, params Params, sched dsched.Scheduler, src *rng.Source, onComplete func(*dsched.Request)) *Disk {
+func New(k *sim.Kernel, id int, params Params, sched *dsched.Queue, src *rng.Source, onComplete func(*dsched.Request)) *Disk {
 	d := &Disk{
 		id:         id,
 		k:          k,
@@ -157,7 +157,7 @@ func New(k *sim.Kernel, id int, params Params, sched dsched.Scheduler, src *rng.
 
 // NewZoned creates a disk with zoned-bit-recording geometry instead of
 // constant cylinders.
-func NewZoned(k *sim.Kernel, id int, zp ZonedParams, sched dsched.Scheduler, src *rng.Source, onComplete func(*dsched.Request)) *Disk {
+func NewZoned(k *sim.Kernel, id int, zp ZonedParams, sched *dsched.Queue, src *rng.Source, onComplete func(*dsched.Request)) *Disk {
 	d := New(k, id, zp.Params, sched, src, onComplete)
 	d.geo = zp.NewGeometry()
 	return d
@@ -197,10 +197,6 @@ func (d *Disk) SetObserver(fn func(slack sim.Duration, qlen int)) { d.observer =
 // SetRepairHook wires a callback invoked after every completed repair
 // with the outage duration just ended.
 func (d *Disk) SetRepairHook(fn func(downtime sim.Duration)) { d.repairHook = fn }
-
-// Scheduler exposes the queue discipline (used by tests and by the server
-// to tighten deadlines of queued prefetches).
-func (d *Disk) Scheduler() dsched.Scheduler { return d.sched }
 
 // QueueLen reports the number of requests waiting (not in service).
 func (d *Disk) QueueLen() int { return d.sched.Len() }

@@ -56,7 +56,7 @@ func TestCylinderMapping(t *testing.T) {
 	}
 }
 
-func newTestDisk(k *sim.Kernel, sched dsched.Scheduler, done *[]*dsched.Request) *Disk {
+func newTestDisk(k *sim.Kernel, sched *dsched.Queue, done *[]*dsched.Request) *Disk {
 	return New(k, 0, DefaultParams(), sched, rng.New(42).Derive("disk"), func(r *dsched.Request) {
 		*done = append(*done, r)
 	})
@@ -66,7 +66,7 @@ func TestDiskServicesSubmittedRequest(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	k.At(0, func() {
 		d.Submit(&dsched.Request{Offset: 10 * 1_250_000, Size: 512 * 1024})
 	})
@@ -91,7 +91,7 @@ func TestDiskWakesFromIdle(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	// Let the disk go idle first, then submit.
 	k.At(sim.Time(sim.Second), func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 1024})
@@ -108,7 +108,7 @@ func TestDiskServesInSchedulerOrder(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewElevator(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindElevator}.New(), &done)
 	cyl := DefaultParams().CylinderBytes
 	k.At(0, func() {
 		// Head at 0: elevator should go 5, 40, 80 regardless of order.
@@ -132,7 +132,7 @@ func TestSequentialReadHitsCache(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	k.At(0, func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 64 * 1024})
 		d.Submit(&dsched.Request{Offset: 64 * 1024, Size: 64 * 1024}) // exact continuation
@@ -149,7 +149,7 @@ func TestRandomReadMissesCache(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	k.At(0, func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 64 * 1024})
 		d.Submit(&dsched.Request{Offset: 500 * 1_250_000, Size: 64 * 1024})
@@ -166,7 +166,7 @@ func TestCacheEvictsLRUContext(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	// Touch 9 distinct streams (more than 8 contexts), then return to the
 	// first: its context must have been evicted.
 	k.At(0, func() {
@@ -191,7 +191,7 @@ func TestBusyTimeStraddlesWindow(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	k.At(0, func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 740 * 1024}) // ~100ms transfer
 	})
@@ -228,7 +228,7 @@ func TestDeterministicService(t *testing.T) {
 		k := sim.NewKernel()
 		defer k.Close()
 		var done []*dsched.Request
-		d := newTestDisk(k, dsched.NewElevator(), &done)
+		d := newTestDisk(k, dsched.Config{Kind: dsched.KindElevator}.New(), &done)
 		k.At(0, func() {
 			for i := 0; i < 20; i++ {
 				d.Submit(&dsched.Request{Offset: int64(i*37%19) * 1_250_000 * 10, Size: 256 * 1024})
@@ -248,7 +248,7 @@ func BenchmarkDiskService(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()
 	served := 0
-	d := New(k, 0, DefaultParams(), dsched.NewElevator(), rng.New(1), func(r *dsched.Request) {
+	d := New(k, 0, DefaultParams(), dsched.Config{Kind: dsched.KindElevator}.New(), rng.New(1), func(r *dsched.Request) {
 		served++
 	})
 	k.At(0, func() {
@@ -267,7 +267,7 @@ func TestFaultInjectionSlowsService(t *testing.T) {
 		k := sim.NewKernel()
 		defer k.Close()
 		var done []*dsched.Request
-		d := newTestDisk(k, dsched.NewFCFS(), &done)
+		d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 		if inject {
 			d.InjectFault(10, sim.Duration(10*sim.Second))
 		}
@@ -290,7 +290,7 @@ func TestFaultExpires(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	d := newTestDisk(k, dsched.Config{Kind: dsched.KindFCFS}.New(), &done)
 	d.InjectFault(10, sim.Duration(sim.Second))
 	// Submit after the fault window has elapsed.
 	k.At(sim.Time(2*sim.Second), func() {

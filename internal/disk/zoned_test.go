@@ -63,7 +63,7 @@ func TestZonedDiskTransfersFasterOnOuterZone(t *testing.T) {
 		k := sim.NewKernel()
 		defer k.Close()
 		var done []*dsched.Request
-		d := NewZoned(k, 0, zp, dsched.NewFCFS(), rng.New(7), func(r *dsched.Request) {
+		d := NewZoned(k, 0, zp, dsched.Config{Kind: dsched.KindFCFS}.New(), rng.New(7), func(r *dsched.Request) {
 			done = append(done, r)
 		})
 		k.At(0, func() {

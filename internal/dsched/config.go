@@ -21,8 +21,8 @@ const (
 	KindCSCAN      Kind = "cscan"
 )
 
-// Config is a declarative scheduler specification; one scheduler instance
-// is built per disk.
+// Config is a declarative scheduler specification; one Queue is built
+// per disk.
 type Config struct {
 	Kind Kind
 
@@ -70,27 +70,48 @@ func (c Config) Validate() error {
 	}
 }
 
-// New builds a scheduler instance for one disk.
-func (c Config) New() Scheduler {
+// New builds the pending-request queue for one disk, fixing its pick
+// rule once.
+func (c Config) New() *Queue {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
+	q := &Queue{cfg: c, dir: 1, cursor: -1}
 	switch c.Kind {
 	case KindElevator:
-		return NewElevator()
+		q.pick = (*Queue).pickElevator
 	case KindFCFS:
-		return NewFCFS()
+		q.pick = (*Queue).pickFCFS
 	case KindRoundRobin:
-		return NewRoundRobin()
+		q.pick = (*Queue).pickRoundRobin
 	case KindSSTF:
-		return NewSSTF()
+		q.pick = (*Queue).pickSSTF
 	case KindCSCAN:
-		return NewCSCAN()
+		q.pick = (*Queue).pickCSCAN
 	case KindGSS:
-		return NewGSS(c.Groups)
+		q.pick = (*Queue).pickGSS
 	default:
-		return NewRealTime(c.Classes, c.Spacing)
+		q.pick = (*Queue).pickRealTime
 	}
+	return q
+}
+
+// ClassOf returns the real-time priority class (0 = most urgent) a
+// request with the given deadline occupies at time now. A request with
+// slack below Spacing is in the highest class; one with slack of at least
+// (Classes-1)*Spacing is in the lowest. Prefetch requests carry estimated
+// deadlines (real-time prefetching, §5.2.3) or, if none was estimated, an
+// infinitely late deadline that pins them to the lowest class.
+func (c Config) ClassOf(now, deadline sim.Time) int {
+	slack := deadline.Sub(now)
+	if slack < 0 {
+		return 0
+	}
+	k := int(slack / c.Spacing)
+	if k >= c.Classes {
+		k = c.Classes - 1
+	}
+	return k
 }
 
 // IsRealTime reports whether the configuration assigns deadlines meaning —

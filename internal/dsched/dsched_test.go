@@ -14,7 +14,7 @@ func req(cyl, term int, deadline sim.Time) *Request {
 	return &Request{Cylinder: cyl, Terminal: term, Deadline: deadline, Seq: seqCounter}
 }
 
-func drain(s Scheduler, now sim.Time, head int) []*Request {
+func drain(s *Queue, now sim.Time, head int) []*Request {
 	var out []*Request
 	for {
 		r := s.Next(now, head)
@@ -47,7 +47,7 @@ func eqInts(a, b []int) bool {
 }
 
 func TestFCFSOrder(t *testing.T) {
-	s := NewFCFS()
+	s := Config{Kind: KindFCFS}.New()
 	s.Add(req(50, 0, 0))
 	s.Add(req(10, 1, 0))
 	s.Add(req(90, 2, 0))
@@ -58,7 +58,7 @@ func TestFCFSOrder(t *testing.T) {
 }
 
 func TestElevatorSweepsUpThenDown(t *testing.T) {
-	s := NewElevator()
+	s := Config{Kind: KindElevator}.New()
 	for _, c := range []int{80, 20, 60, 40} {
 		s.Add(req(c, 0, 0))
 	}
@@ -70,7 +70,7 @@ func TestElevatorSweepsUpThenDown(t *testing.T) {
 }
 
 func TestElevatorServicesCurrentCylinder(t *testing.T) {
-	s := NewElevator()
+	s := Config{Kind: KindElevator}.New()
 	s.Add(req(50, 0, 0))
 	s.Add(req(70, 1, 0))
 	got := cylinders(drain(s, 0, 50))
@@ -80,7 +80,7 @@ func TestElevatorServicesCurrentCylinder(t *testing.T) {
 }
 
 func TestElevatorReversesWhenNothingAhead(t *testing.T) {
-	s := NewElevator()
+	s := Config{Kind: KindElevator}.New()
 	s.Add(req(10, 0, 0))
 	s.Add(req(30, 1, 0))
 	got := cylinders(drain(s, 0, 90)) // nothing above 90: reverse
@@ -90,7 +90,7 @@ func TestElevatorReversesWhenNothingAhead(t *testing.T) {
 }
 
 func TestElevatorTieBreaksByArrival(t *testing.T) {
-	s := NewElevator()
+	s := Config{Kind: KindElevator}.New()
 	a := req(40, 0, 0)
 	b := req(40, 1, 0)
 	s.Add(a)
@@ -107,7 +107,7 @@ func TestElevatorTwoMonotoneRunsProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewElevator()
+		s := Config{Kind: KindElevator}.New()
 		for i, c := range raw {
 			s.Add(req(int(c), i, 0))
 		}
@@ -129,7 +129,7 @@ func TestElevatorTwoMonotoneRunsProperty(t *testing.T) {
 }
 
 func TestRoundRobinCyclesTerminals(t *testing.T) {
-	s := NewRoundRobin()
+	s := Config{Kind: KindRoundRobin}.New()
 	// Terminal 2 floods the queue; terminals 0 and 1 have one each.
 	s.Add(req(10, 2, 0))
 	s.Add(req(20, 2, 0))
@@ -146,7 +146,7 @@ func TestRoundRobinCyclesTerminals(t *testing.T) {
 }
 
 func TestRoundRobinOldestPerTerminal(t *testing.T) {
-	s := NewRoundRobin()
+	s := Config{Kind: KindRoundRobin}.New()
 	first := req(99, 5, 0)
 	s.Add(first)
 	s.Add(req(1, 5, 0))
@@ -159,7 +159,7 @@ func TestRoundRobinOldestPerTerminal(t *testing.T) {
 // sentinel made the tie-break index rr.reqs[-1] and panicked. Any id must
 // be servable.
 func TestRoundRobinHugeTerminalIDNoPanic(t *testing.T) {
-	s := NewRoundRobin()
+	s := Config{Kind: KindRoundRobin}.New()
 	huge := req(10, 1<<62, 0)
 	s.Add(huge)
 	if got := s.Next(0, 0); got != huge {
@@ -172,7 +172,7 @@ func TestRoundRobinHugeTerminalIDNoPanic(t *testing.T) {
 // huge id. The wrap is now derived from the observed id range, so cyclic
 // fairness holds for any ids.
 func TestRoundRobinOrdersIDsBeyondWrapConstant(t *testing.T) {
-	s := NewRoundRobin()
+	s := Config{Kind: KindRoundRobin}.New()
 	small := req(10, 1, 0)
 	big := req(20, 1<<31, 0)
 	bigger := req(30, 1<<40, 0)
@@ -189,7 +189,7 @@ func TestRoundRobinOrdersIDsBeyondWrapConstant(t *testing.T) {
 	// Cyclic order resumes after the cursor: with the cursor at 5, the
 	// id 2^31+10 is ahead in the cycle and must be served before the
 	// cycle wraps back to id 3. The old fixed wrap put 3 first.
-	s2 := NewRoundRobin()
+	s2 := Config{Kind: KindRoundRobin}.New()
 	s2.Add(req(10, 5, 0))
 	if got := s2.Next(0, 0); got.Terminal != 5 {
 		t.Fatalf("setup: served %d", got.Terminal)
@@ -206,7 +206,7 @@ func TestRoundRobinOrdersIDsBeyondWrapConstant(t *testing.T) {
 }
 
 func TestGSSOneGroupServicesEachTerminalOncePerSweep(t *testing.T) {
-	s := NewGSS(1)
+	s := Config{Kind: KindGSS, Groups: 1}.New()
 	// Terminal 0 has two requests; terminal 1 has one.
 	a0 := req(10, 0, 0)
 	a1 := req(90, 0, 0)
@@ -228,7 +228,7 @@ func TestGSSOneGroupServicesEachTerminalOncePerSweep(t *testing.T) {
 }
 
 func TestGSSGroupsRoundRobin(t *testing.T) {
-	s := NewGSS(2)
+	s := Config{Kind: KindGSS, Groups: 2}.New()
 	// Terminals 0,2 in group 0; terminals 1,3 in group 1.
 	g0a := req(10, 0, 0)
 	g0b := req(20, 2, 0)
@@ -246,7 +246,7 @@ func TestGSSGroupsRoundRobin(t *testing.T) {
 }
 
 func TestGSSSkipsEmptyGroups(t *testing.T) {
-	s := NewGSS(4)
+	s := Config{Kind: KindGSS, Groups: 4}.New()
 	r := req(10, 3, 0) // group 3 only
 	s.Add(r)
 	if got := s.Next(0, 0); got != r {
@@ -259,7 +259,7 @@ func TestGSSSkipsEmptyGroups(t *testing.T) {
 
 func TestGSSManyGroupsActsLikeRoundRobin(t *testing.T) {
 	// With one terminal per group, GSS is round-robin (paper §5.2.2).
-	s := NewGSS(3)
+	s := Config{Kind: KindGSS, Groups: 3}.New()
 	s.Add(req(10, 2, 0))
 	s.Add(req(20, 2, 0))
 	s.Add(req(30, 0, 0))
@@ -275,7 +275,7 @@ func TestGSSManyGroupsActsLikeRoundRobin(t *testing.T) {
 
 func TestRealTimeClassAssignment(t *testing.T) {
 	// Figure 5: 3 classes, 2s spacing. Cutoffs at 2s and 4s.
-	rt := NewRealTime(3, 2*sim.Second)
+	rt := Config{Kind: KindRealTime, Classes: 3, Spacing: 2 * sim.Second}
 	now := sim.Time(0)
 	if c := rt.ClassOf(now, sim.Time(1*sim.Second)); c != 0 {
 		t.Fatalf("1s slack -> class %d, want 0 (highest)", c)
@@ -299,7 +299,7 @@ func TestRealTimeClassAssignment(t *testing.T) {
 // despite the longer seek; afterwards request 1 has drifted into priority
 // 1 and is serviced next.
 func TestRealTimeFigure6Scenario(t *testing.T) {
-	rt := NewRealTime(3, 2*sim.Second)
+	rt := Config{Kind: KindRealTime, Classes: 3, Spacing: 2 * sim.Second}.New()
 	r1 := req(10, 0, sim.Time(3*sim.Second))  // slack 3s -> class 1
 	r2 := req(500, 1, sim.Time(1*sim.Second)) // slack 1s -> class 0
 	rt.Add(r1)
@@ -314,7 +314,7 @@ func TestRealTimeFigure6Scenario(t *testing.T) {
 }
 
 func TestRealTimeElevatorWithinClass(t *testing.T) {
-	rt := NewRealTime(2, 4*sim.Second)
+	rt := Config{Kind: KindRealTime, Classes: 2, Spacing: 4 * sim.Second}.New()
 	far := sim.Time(100 * sim.Second)
 	a := req(30, 0, far)
 	b := req(60, 1, far)
@@ -332,7 +332,7 @@ func TestRealTimeElevatorWithinClass(t *testing.T) {
 // urgent class has pending requests.
 func TestRealTimeHighestClassFirstProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		rt := NewRealTime(3, 2*sim.Second)
+		rt := Config{Kind: KindRealTime, Classes: 3, Spacing: 2 * sim.Second}.New()
 		for i, v := range raw {
 			d := sim.Time(v) * sim.Time(sim.Millisecond) * 10 // deadlines 0..655s
 			rt.Add(req(int(v%200), i, d))
@@ -341,10 +341,10 @@ func TestRealTimeHighestClassFirstProperty(t *testing.T) {
 		head := 0
 		for rt.Len() > 0 {
 			r := rt.Next(now, head)
-			cr := rt.ClassOf(now, r.Deadline)
+			cr := rt.cfg.ClassOf(now, r.Deadline)
 			// No remaining request may be in a more urgent class.
 			for _, o := range rt.reqs {
-				if rt.ClassOf(now, o.Deadline) < cr {
+				if rt.cfg.ClassOf(now, o.Deadline) < cr {
 					return false
 				}
 			}
@@ -397,19 +397,82 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
+// allKinds is one configuration of every scheduling algorithm.
+var allKinds = []Config{
+	{Kind: KindElevator},
+	{Kind: KindFCFS},
+	{Kind: KindRoundRobin},
+	{Kind: KindSSTF},
+	{Kind: KindCSCAN},
+	{Kind: KindGSS, Groups: 2},
+	{Kind: KindRealTime, Classes: 3, Spacing: sim.Second},
+}
+
 func TestEmptySchedulersReturnNil(t *testing.T) {
-	for _, s := range []Scheduler{NewElevator(), NewFCFS(), NewRoundRobin(), NewGSS(2), NewRealTime(3, sim.Second)} {
+	for _, c := range allKinds {
+		s := c.New()
 		if s.Next(0, 0) != nil {
-			t.Fatalf("%s: empty Next != nil", s.Name())
+			t.Fatalf("%s: empty Next != nil", c)
 		}
 		if s.Len() != 0 {
-			t.Fatalf("%s: empty Len != 0", s.Name())
+			t.Fatalf("%s: empty Len != 0", c)
+		}
+	}
+}
+
+// A fail-stopped disk NACKs its queue through Drain: every request still
+// pending must come back exactly once, in arrival order, however far the
+// algorithm's own state (sweep direction, cursor, GSS batch) has moved.
+func TestDrainReturnsEveryPendingRequestInSeqOrder(t *testing.T) {
+	for _, c := range allKinds {
+		s := c.New()
+		added := map[*Request]bool{}
+		for i := 0; i < 12; i++ {
+			r := req((i*37)%100, i%5, sim.Time(i%4)*sim.Time(sim.Second))
+			r.Prefetch = i%3 == 0
+			s.Add(r)
+			added[r] = true
+		}
+		head := 50
+		for n := 0; n < 3 || (c.Kind == KindGSS && (len(s.batch) == 0 || len(s.batch) == s.Len())); n++ {
+			r := s.Next(0, head)
+			if r == nil {
+				t.Fatalf("%s: queue ran dry before the drain", c)
+			}
+			delete(added, r)
+			head = r.Cylinder
+		}
+		if c.Kind == KindGSS && (len(s.batch) == 0 || len(s.batch) == s.Len()) {
+			t.Fatalf("%s: setup: want a part-swept batch and unselected requests", c)
+		}
+		want := s.Len()
+		got := s.Drain()
+		if len(got) != want || len(got) != len(added) {
+			t.Fatalf("%s: drained %d, Len was %d, %d never served", c, len(got), want, len(added))
+		}
+		for i, r := range got {
+			if !added[r] {
+				t.Fatalf("%s: drained request seq %d twice or after it was served", c, r.Seq)
+			}
+			delete(added, r)
+			if i > 0 && got[i-1].Seq >= r.Seq {
+				t.Fatalf("%s: drain out of Seq order at %d", c, i)
+			}
+		}
+		if s.Len() != 0 || s.Next(0, head) != nil {
+			t.Fatalf("%s: queue not empty after Drain", c)
+		}
+		// A repaired disk reuses its queue.
+		r := req(10, 1, 0)
+		s.Add(r)
+		if got := s.Next(0, head); got != r {
+			t.Fatalf("%s: queue unusable after Drain", c)
 		}
 	}
 }
 
 func BenchmarkRealTimeNext(b *testing.B) {
-	rt := NewRealTime(3, 4*sim.Second)
+	rt := Config{Kind: KindRealTime, Classes: 3, Spacing: 4 * sim.Second}.New()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 16; j++ {
 			rt.Add(req(j*100, j, sim.Time(j)*sim.Time(sim.Second)))
@@ -421,7 +484,7 @@ func BenchmarkRealTimeNext(b *testing.B) {
 }
 
 func BenchmarkElevatorNext(b *testing.B) {
-	e := NewElevator()
+	e := Config{Kind: KindElevator}.New()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 16; j++ {
 			e.Add(req(j*100, j, 0))

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSSTFPicksNearest(t *testing.T) {
-	s := NewSSTF()
+	s := Config{Kind: KindSSTF}.New()
 	s.Add(req(90, 0, 0))
 	s.Add(req(48, 1, 0))
 	s.Add(req(52, 2, 0))
@@ -21,7 +21,7 @@ func TestSSTFPicksNearest(t *testing.T) {
 
 func TestSSTFCanStarveFarRequests(t *testing.T) {
 	// Feed a stream of near requests; the far one is served last.
-	s := NewSSTF()
+	s := Config{Kind: KindSSTF}.New()
 	far := req(4000, 0, 0)
 	s.Add(far)
 	for i := 0; i < 5; i++ {
@@ -39,7 +39,7 @@ func TestSSTFCanStarveFarRequests(t *testing.T) {
 }
 
 func TestCSCANSweepsOneDirection(t *testing.T) {
-	s := NewCSCAN()
+	s := Config{Kind: KindCSCAN}.New()
 	for _, c := range []int{80, 20, 60, 40} {
 		s.Add(req(c, 0, 0))
 	}
@@ -51,7 +51,7 @@ func TestCSCANSweepsOneDirection(t *testing.T) {
 }
 
 func TestCSCANServicesHeadPosition(t *testing.T) {
-	s := NewCSCAN()
+	s := Config{Kind: KindCSCAN}.New()
 	s.Add(req(50, 0, 0))
 	if got := s.Next(0, 50); got == nil || got.Cylinder != 50 {
 		t.Fatal("request at head position must be served")
@@ -65,7 +65,7 @@ func TestCSCANTwoAscendingRunsProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewCSCAN()
+		s := Config{Kind: KindCSCAN}.New()
 		for i, c := range raw {
 			s.Add(req(int(c), i, 0))
 		}
@@ -89,8 +89,8 @@ func TestExtraKindsConfig(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if c.New().Name() != string(k) {
-			t.Fatalf("%v: factory name mismatch", k)
+		if c.New() == nil || c.String() != string(k) {
+			t.Fatalf("%v: factory or label mismatch", k)
 		}
 	}
 }

@@ -17,6 +17,8 @@
 package prefetch
 
 import (
+	"fmt"
+
 	"spiffi/internal/sim"
 )
 
@@ -224,6 +226,24 @@ type Config struct {
 	// MaxAdvance is the maximum advance prefetch time for ModeDelayed
 	// (paper explores 8s and 4s).
 	MaxAdvance sim.Duration
+}
+
+// Validate reports configuration errors. The empty mode and zero workers
+// are accepted: they select per-scheduler defaults at simulation assembly.
+func (c Config) Validate() error {
+	switch c.Mode {
+	case "", ModeOff, ModeBasic, ModeRealTime:
+	case ModeDelayed:
+		if c.MaxAdvance <= 0 {
+			return fmt.Errorf("prefetch: delayed prefetching needs MaxAdvance > 0")
+		}
+	default:
+		return fmt.Errorf("prefetch: unknown mode %q", c.Mode)
+	}
+	if c.WorkersPerDisk < 0 {
+		return fmt.Errorf("prefetch: negative WorkersPerDisk %d", c.WorkersPerDisk)
+	}
+	return nil
 }
 
 // NewQueue builds the queue for one disk.

@@ -139,7 +139,7 @@ func New(
 		k:              k,
 		cfg:            cfg,
 		cpu:            cpu.New(k, id),
-		pool:           bufferpool.New(k, cfg.PoolPages, cfg.Replacement.New()),
+		pool:           bufferpool.New(k, cfg.PoolPages, cfg.Replacement),
 		net:            net,
 		place:          place,
 		inflight:       make(map[bufferpool.PageID]*dsched.Request),

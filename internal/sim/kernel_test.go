@@ -389,34 +389,6 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	s := NewSemaphore(k, 2)
-	var inside, peak int
-	for i := 0; i < 6; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(10)
-			inside--
-			s.Release()
-		})
-	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if s.Available() != 2 {
-		t.Fatalf("final count = %d, want 2", s.Available())
-	}
-}
-
 // TestDeterminism runs the same randomized workload twice and requires
 // identical completion traces.
 func TestDeterminism(t *testing.T) {

@@ -66,50 +66,6 @@ func (t *Tally) StdDev() float64 { return math.Sqrt(t.Variance()) }
 // Reset discards all samples.
 func (t *Tally) Reset() { *t = Tally{} }
 
-// TimeWeighted tracks a piecewise-constant value over simulated time and
-// reports its time integral average (e.g. mean queue length).
-type TimeWeighted struct {
-	value    float64
-	lastT    float64
-	start    float64
-	integral float64
-	max      float64
-	started  bool
-}
-
-// Set records that the value changed to v at time t (seconds).
-func (w *TimeWeighted) Set(t, v float64) {
-	if !w.started {
-		w.start, w.lastT, w.started = t, t, true
-	} else {
-		w.integral += w.value * (t - w.lastT)
-		w.lastT = t
-	}
-	w.value = v
-	if v > w.max {
-		w.max = v
-	}
-}
-
-// Mean returns the time average over [start, t].
-func (w *TimeWeighted) Mean(t float64) float64 {
-	if !w.started || t <= w.start {
-		return 0
-	}
-	return (w.integral + w.value*(t-w.lastT)) / (t - w.start)
-}
-
-// Max returns the largest value observed.
-func (w *TimeWeighted) Max() float64 { return w.max }
-
-// Reset restarts the integral at time t keeping the current value.
-func (w *TimeWeighted) Reset(t float64) {
-	w.integral = 0
-	w.start, w.lastT = t, t
-	w.max = w.value
-	w.started = true
-}
-
 // PeakRateMeter measures the peak transfer rate over fixed-width windows:
 // bytes recorded in each window are summed and the largest window total is
 // retained. The paper's Figure 18 reports peak aggregate network

@@ -56,32 +56,6 @@ func TestTallyVarianceNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 10) // 10 over [0,4)
-	w.Set(4, 20) // 20 over [4,10)
-	got := w.Mean(10)
-	want := (10*4 + 20*6) / 10.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if w.Max() != 20 {
-		t.Fatalf("max = %v", w.Max())
-	}
-}
-
-func TestTimeWeightedReset(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 100)
-	w.Reset(50)
-	w.Set(60, 0)
-	// Over [50,100]: value 100 for 10s, 0 for 40s.
-	got := w.Mean(100)
-	if math.Abs(got-20) > 1e-9 {
-		t.Fatalf("mean after reset = %v, want 20", got)
-	}
-}
-
 func TestPeakRateMeter(t *testing.T) {
 	m := NewPeakRateMeter(1.0)
 	m.Record(0.1, 100)
